@@ -11,25 +11,27 @@ specialized callable per type signature:
   its outcome (changed memory bytes, per-block cycles, stats, step
   charges); identical re-launches apply the recorded effects without
   stepping a single generator.  Sound because eligibility requires the
-  kernel to pass :func:`repro.compiler.lift.kernel_purity` with deeply
-  immutable closure cells, and the key covers every remaining input.
+  kernel to pass :func:`repro.compiler.lift.kernel_purity`, and the key
+  covers every remaining input: the kernel signature
+  (:func:`function_signature`) freezes the current values of its
+  closure cells, defaults, and the module globals it loads, and strict
+  mode accepts only deeply immutable values there.
 * **Lifted tier**: for *steady* pure kernels (control flow independent
   of data — proven dynamically by symbolic capture), a
   :class:`~repro.compiler.lift.BlockPlan` list (CUDA) or
-  :class:`~repro.compiler.lift.RegionPlan` (OpenMP) compiled at first
-  miss executes fresh data with precompiled effects, no generators.
-  Plans are keyed by a **shape digest** — kernel code + closure, launch
-  config, machine fingerprint, array dtypes/shapes, but *not* element
-  content — so a sweep re-launching the same structure over fresh RNG
-  inputs hits this tier on every launch after the first
-  (``dispatch.shape_hit``).  A :class:`~repro.compiler.lift.PlanGuard`
-  captured at lift time re-validates module globals and array structure
-  before every reuse, because the shape digest deliberately excludes
-  them-at-runtime; a guard failure recaptures instead of replaying.
-  When a :class:`~repro.compiler.store.PlanStore` is configured
-  (``SYNCPERF_PLAN_CACHE``), plans persist on disk across processes —
-  a cold process warms from disk (``dispatch.disk_hit``) before paying
-  a capture.
+  :class:`~repro.compiler.lift.RegionPlan` (OpenMP) executes fresh data
+  with precompiled effects, no generators.  Plans are keyed by a
+  **shape digest** — kernel signature (globals included), launch
+  config, machine fingerprint, array names/dtypes/shapes, but *not*
+  element content — so a sweep re-launching the same structure over
+  fresh RNG inputs hits this tier (``dispatch.shape_hit``).  A shape's
+  first sighting only marks it as seen and runs on the fast tier
+  (``dispatch.first_sight``); the second sighting pays the capture
+  (``dispatch.compile``), so a launch that never repeats its shape never
+  pays for plans.  When a :class:`~repro.compiler.store.PlanStore` is
+  configured (``SYNCPERF_PLAN_CACHE``), plans persist on disk across
+  processes — a cold process loads them on the first sighting
+  (``dispatch.disk_hit``) instead of waiting for the second.
 * **Fast/reference tiers**: everything else falls through to the
   existing batched fast path and scalar reference untouched.
 
@@ -44,22 +46,25 @@ entries immediately (stale entries age out of the LRU).
 Counters (docs/observability.md): ``dispatch.hit`` / ``dispatch.miss``
 (keyed launches served / not served from the replay cache),
 ``dispatch.shape_hit`` (launches/regions served from cached plans
-without recapture), ``dispatch.compile`` (plan compilations),
-``dispatch.fallback`` (launches the dispatcher examined but left to
-the fast/scalar tiers), ``dispatch.lifted_blocks``,
-``dispatch.lifted_regions``, ``dispatch.evictions``, and the disk
-tier's ``dispatch.disk_hit`` / ``disk_miss`` / ``disk_write`` /
-``disk_corrupt`` (see :mod:`repro.compiler.store`).  When a recorder
-is installed the tiers also emit spans — ``dispatch.capture``,
-``dispatch.replay``, and ``dispatch.lifted`` (with the plan
-``source``) — which traced service requests carry across process
-boundaries (docs/observability.md, "Cross-process trace context").
+without recapture), ``dispatch.first_sight`` (shapes seen for the first
+time, left to the fast tier), ``dispatch.compile`` (plan compilations,
+second sightings only), ``dispatch.fallback`` (launches left to the
+fast/scalar tiers because they are ineligible or proven unliftable),
+``dispatch.lifted_blocks``, ``dispatch.lifted_regions``,
+``dispatch.evictions``, and the disk tier's ``dispatch.disk_hit`` /
+``disk_miss`` / ``disk_write`` / ``disk_corrupt`` (see
+:mod:`repro.compiler.store`).  When a recorder is installed the tiers
+also emit spans — ``dispatch.capture``, ``dispatch.replay``, and
+``dispatch.lifted`` (with the plan ``source``) — which traced service
+requests carry across process boundaries (docs/observability.md,
+"Cross-process trace context").
 
 The ``SYNCPERF_DISPATCH`` environment variable (``on`` default,
 ``off``, ``force``) and the :func:`dispatch_disabled` /
 :func:`dispatch_forced` context managers control engagement; ``force``
-skips the static purity proof (the dynamic capture guards stay on) and
-is meant for the fuzz harness.
+skips the static purity proof and lets the signature freeze mutable
+cells and globals by value (the dynamic capture guards stay on); it is
+meant for the fuzz harness.
 """
 
 from __future__ import annotations
@@ -87,12 +92,15 @@ _C_MISS = _counter("dispatch.miss")
 _C_SHAPE_HIT = _counter("dispatch.shape_hit")
 _C_COMPILE = _counter("dispatch.compile")
 _C_FALLBACK = _counter("dispatch.fallback")
+_C_FIRST_SIGHT = _counter("dispatch.first_sight")
 _C_LIFTED = _counter("dispatch.lifted_blocks")
 _C_LIFTED_REGIONS = _counter("dispatch.lifted_regions")
 _C_EVICT = _counter("dispatch.evictions")
 
 #: Sentinel marking a signature proven unliftable (capture escaped).
 _UNLIFTABLE = object()
+#: Sentinel marking a shape sighted once (capture on the next sighting).
+_SEEN = object()
 
 #: Capture attempts per kernel code object before giving up for good.
 _MAX_CAPTURE_ABORTS = 2
@@ -228,7 +236,7 @@ def _freeze_cell(v, permissive: bool, depth: int = 0, seen=None):
     if lift.immutable_value(v):
         return _freeze_state(v)
     if not permissive:
-        raise _Unsignable(f"mutable closure cell {type(v).__name__}")
+        raise _Unsignable(f"mutable value {type(v).__name__}")
     if isinstance(v, (list, tuple)):
         return ("seq", tuple(_freeze_cell(x, True, depth + 1, seen)
                              for x in v))
@@ -245,12 +253,20 @@ def _freeze_cell(v, permissive: bool, depth: int = 0, seen=None):
                 hashlib.blake2b(v.tobytes(), digest_size=16).digest())
     if isinstance(v, types.FunctionType):
         return ("fn", function_signature(v, True, depth + 1, seen))
-    raise _Unsignable(f"unsignable closure cell {type(v).__name__}")
+    raise _Unsignable(f"unsignable value {type(v).__name__}")
 
 
 def function_signature(fn, permissive: bool, depth: int = 0,
                        seen=None) -> tuple:
-    """Identity of a kernel/body: code digest + closure/default values.
+    """Identity of a kernel/body: code digest plus the current values
+    of its closure cells, defaults, and every module global its code
+    loads (:func:`repro.compiler.lift._global_load_names`; names that
+    resolve to builtins are absent from ``fn.__globals__`` and skipped).
+
+    Because the values enter the signature, and the signature enters
+    both the tier-0 content key and the shape digest, rebinding a
+    global or a cell simply keys a different entry: nothing cached
+    under the old values can be served.
 
     Recursive closures (a function whose cell holds itself, directly or
     through another function) are frozen as a cycle marker carrying the
@@ -258,7 +274,7 @@ def function_signature(fn, permissive: bool, depth: int = 0,
     itself part of the structure being digested.
 
     Raises:
-        _Unsignable: when a closure cell or default cannot be frozen
+        _Unsignable: when a cell, default, or global cannot be frozen
             (mutable in strict mode, or an exotic type).
     """
     if seen is None:
@@ -272,9 +288,14 @@ def function_signature(fn, permissive: bool, depth: int = 0,
                       for cell in (fn.__closure__ or ()))
         defaults = tuple(_freeze_cell(v, permissive, depth, seen)
                          for v in (fn.__defaults__ or ()))
+        module = fn.__globals__
+        globals_ = tuple(
+            (name, _freeze_cell(module[name], permissive, depth, seen))
+            for name in lift._global_load_names(fn.__code__)
+            if name in module)
     finally:
         seen.discard(id(fn))
-    return (_code_digest(fn.__code__), cells, defaults)
+    return (_code_digest(fn.__code__), cells, defaults, globals_)
 
 
 def _shape_digest(sig: tuple) -> bytes:
@@ -283,27 +304,26 @@ def _shape_digest(sig: tuple) -> bytes:
     The signature holds only primitives, bytes digests, enums, and
     (frozen) dataclasses, all with deterministic ``repr``, so the digest
     is stable across processes — which is what lets it double as the
-    on-disk plan-store filename and the pool's plan-shipping key.
+    on-disk plan-store filename.  It also prefixes the tier-0 replay
+    key, so both tiers see one identity; ``repr`` keeps apart values
+    that tuple equality would merge (``1``, ``1.0``, ``True``; ``0.0``
+    and ``-0.0``).
     """
     return hashlib.blake2b(repr(sig).encode(), digest_size=16).digest()
 
 
 class _PlanSet:
-    """Cached lifted plans plus their reuse guard and shipping blob.
+    """Cached lifted plans plus their lazily built shipping blob.
 
     ``plans`` is a ``BlockPlan`` list (CUDA) or a single ``RegionPlan``
-    (OpenMP); ``guard`` the :class:`~repro.compiler.lift.PlanGuard`
-    revalidated before every reuse.  ``blob``/``ship_key`` lazily cache
-    the pickled form and its content key for pool shipping — keyed by
-    content, not shape digest, so a guard-failure recapture under the
-    same shape digest can never collide with a worker's stale copy.
+    (OpenMP).  ``blob``/``ship_key`` lazily cache the pickled form and
+    its content key for pool shipping.
     """
 
-    __slots__ = ("plans", "guard", "blob", "ship_key")
+    __slots__ = ("plans", "blob", "ship_key")
 
-    def __init__(self, plans, guard) -> None:
+    def __init__(self, plans) -> None:
         self.plans = plans
-        self.guard = guard
         self.blob = None
         self.ship_key = None
 
@@ -365,7 +385,8 @@ class Dispatcher:
     Args:
         max_entries: Replay-entry count ceiling.
         max_bytes: Total recorded-write bytes ceiling.
-        max_plans: Compiled block-plan signature ceiling.
+        max_plans: Shape-digest ceiling of the plan LRU (plan sets,
+            unliftable marks, and first-sighting marks alike).
         memory_cap: Per-launch total memory bytes above which replay
             is not attempted (hashing would eat the win).
     """
@@ -442,32 +463,33 @@ class Dispatcher:
                 self._plans.popitem(last=False)
                 _C_EVICT.add(1)
 
-    def _lookup_plans(self, digest: bytes, fn, memory, capture):
+    def _lookup_plans(self, digest: bytes, fn, capture):
         """Plans for one shape digest: memory -> disk -> capture.
 
         Returns ``(plan_set, source)`` where ``plan_set`` is a
-        :class:`_PlanSet` or :data:`_UNLIFTABLE` and ``source`` is
-        ``"mem"``, ``"disk"``, ``"fresh"``, or ``None`` (unliftable).
-        A cached set whose guard fails — same shape, but a module
-        global the kernel reads changed — is recaptured, never
-        replayed.
+        :class:`_PlanSet`, :data:`_UNLIFTABLE`, or ``None`` and
+        ``source`` is ``"mem"``, ``"disk"``, ``"fresh"``, or ``None``.
+        A shape's first sighting loads from disk when it can; otherwise
+        it only marks the shape :data:`_SEEN` and returns ``(None,
+        None)`` so the launch runs on the fast tier.  Capture happens on
+        the second sighting: a one-off launch never pays for plans that
+        nothing would reuse.
         """
         pset = self._get_plans(digest)
         if pset is _UNLIFTABLE:
             return _UNLIFTABLE, None
-        if pset is not None:
-            if pset.guard is None or pset.guard.validate(fn, memory):
-                return pset, "mem"
-            pset = None  # guard falsified: environment changed
-        store = self.plan_store
-        if store is not None:
-            loaded = store.load(digest)
-            if loaded is not None:
-                plans, guard = loaded
-                if guard is None or guard.validate(fn, memory):
-                    pset = _PlanSet(plans, guard)
-                    self._put_plans(digest, pset)
-                    return pset, "disk"
+        if pset is None:
+            store = self.plan_store
+            plans = store.load(digest) if store is not None else None
+            if plans is None:
+                self._put_plans(digest, _SEEN)
+                _C_FIRST_SIGHT.add(1)
+                return None, None
+            pset = _PlanSet(plans)
+            self._put_plans(digest, pset)
+            return pset, "disk"
+        if pset is not _SEEN:
+            return pset, "mem"
         code = fn.__code__
         if self._capture_aborts.get(code, 0) >= _MAX_CAPTURE_ABORTS:
             self._put_plans(digest, _UNLIFTABLE)
@@ -475,17 +497,16 @@ class Dispatcher:
         try:
             with obs_span("dispatch.capture", kernel=fn.__name__):
                 plans = capture()
-                guard = lift.build_plan_guard(fn, memory)
             _C_COMPILE.add(1)
         except Exception:
             self._capture_aborts[code] = \
                 self._capture_aborts.get(code, 0) + 1
             self._put_plans(digest, _UNLIFTABLE)
             return _UNLIFTABLE, None
-        pset = _PlanSet(plans, guard)
+        pset = _PlanSet(plans)
         self._put_plans(digest, pset)
-        if store is not None:
-            store.save(digest, plans, guard)
+        if self.plan_store is not None:
+            self.plan_store.save(digest, plans)
         return pset, "fresh"
 
     def _digest_memory(self, memory) -> tuple | None:
@@ -546,7 +567,7 @@ class Dispatcher:
             for name, (size, dt) in shared_decls.items()))
         plan_key = _shape_digest(
             ("cuda-plan", ksig, launch, shared_sig, fp, static))
-        key = ("cuda", ksig, launch, shared_sig, fp, static, content)
+        key = (plan_key, content)
         return _CudaTicket(self, cuda, kernel, launch, memory,
                            shared_decls, key, plan_key, pre)
 
@@ -579,8 +600,7 @@ class Dispatcher:
         plan_key = _shape_digest(
             ("omp-plan", bsig, omp.n_threads, omp.affinity,
              omp.relaxed_consistency, fp, static))
-        key = ("omp", bsig, omp.n_threads, omp.affinity,
-               omp.relaxed_consistency, fp, static, content)
+        key = (plan_key, content)
         return _OmpTicket(self, omp, body, shared_map, key, plan_key, pre)
 
 
@@ -639,7 +659,9 @@ class _CudaTicket:
                 for b in range(self.launch.grid_blocks)]
 
         pset, source = disp._lookup_plans(self.plan_key, self.kernel,
-                                          self.memory, capture)
+                                          capture)
+        if pset is None:
+            return None
         if pset is _UNLIFTABLE:
             _C_FALLBACK.add(1)
             return None
@@ -751,7 +773,9 @@ class _OmpTicket:
                                             omp.max_steps)
 
         pset, source = disp._lookup_plans(self.plan_key, self.body,
-                                          self.shared_map, capture)
+                                          capture)
+        if pset is None:
+            return None
         if pset is _UNLIFTABLE:
             _C_FALLBACK.add(1)
             return None

@@ -8,9 +8,12 @@ of that bet:
 
 * **Purity analysis** (:func:`kernel_purity`): a conservative AST
   whitelist proving a kernel generator touches nothing outside its
-  thread context, its (immutable) closure cells, and the interpreter's
-  memory requests.  Only pure kernels may be memoized or lifted — an
-  impure kernel could consult ambient state the cache key cannot see.
+  thread context, its closure cells, the module globals it loads
+  (:func:`_global_load_names`), and the interpreter's memory requests.
+  Only pure kernels may be memoized or lifted — an impure kernel could
+  consult ambient state the cache key cannot see.  Cells and globals
+  are admitted because the dispatcher freezes their current values
+  into every key; annotations are ignored.
 * **Symbolic capture** (:func:`capture_block_plan`): run one block of
   the kernel once with :class:`Sym` placeholders fed back for every
   value a read/atomic would produce.  Arithmetic on a ``Sym`` builds an
@@ -34,11 +37,10 @@ differential-fuzz harness.
 from __future__ import annotations
 
 import ast
+import builtins
 import dis
 import enum
-import hashlib
 import inspect
-import marshal
 import operator
 import textwrap
 import types
@@ -185,6 +187,7 @@ PURE_BUILTINS = frozenset({
     "divmod", "tuple", "list", "set", "dict", "frozenset", "str", "repr",
     "pow", "True", "False", "None",
 })
+_BUILTIN_NAMES = frozenset(dir(builtins))
 
 _ALLOWED_STMTS = (
     ast.Return, ast.Assign, ast.AugAssign, ast.AnnAssign, ast.For,
@@ -223,6 +226,16 @@ def _collect_bound_names(tree: ast.AST) -> set[str]:
     return bound
 
 
+def _strip_annotations(func: ast.FunctionDef) -> None:
+    """Drop every annotation: a generator never evaluates them (its
+    parameters' are evaluated once at ``def`` time, its locals' never),
+    so they cannot make a kernel impure."""
+    func.returns = None
+    for node in ast.walk(func):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            node.annotation = None
+
+
 def _analyze(fn) -> tuple[bool, str]:
     try:
         source = textwrap.dedent(inspect.getsource(fn))
@@ -237,6 +250,7 @@ def _analyze(fn) -> tuple[bool, str]:
     if not (func.args.posonlyargs + func.args.args):
         return False, "no context parameter"
     ctx_param = (func.args.posonlyargs + func.args.args)[0].arg
+    _strip_annotations(func)
 
     code = fn.__code__
     allowed_names = (_collect_bound_names(func)
@@ -253,8 +267,10 @@ def _analyze(fn) -> tuple[bool, str]:
                 return False, (f"attribute access outside the context "
                                f"parameter at line {node.lineno}")
         elif isinstance(node, ast.Name):
-            if node.id not in allowed_names:
-                return False, f"global name {node.id!r} referenced"
+            # Any other free name is a module global: admitted, because
+            # the dispatcher's function signature freezes its value.
+            if node.id not in allowed_names and node.id in _BUILTIN_NAMES:
+                return False, f"builtin {node.id!r} referenced"
         elif isinstance(node, ast.Compare):
             for op in node.ops:
                 if isinstance(op, (ast.Is, ast.IsNot)):
@@ -272,10 +288,13 @@ def kernel_purity(fn) -> tuple[bool, str]:
     """Prove (conservatively) that ``fn`` is a pure kernel generator.
 
     Pure means: the only names reachable are the context parameter,
-    locally bound names, closure cells, and a whitelist of effect-free
-    builtins; the only attribute accesses (and method calls) are on the
-    context parameter; no imports, try/except, global/nonlocal, nested
-    ``def``, or identity comparisons.  Cached per code object.
+    locally bound names, closure cells, module globals, and a whitelist
+    of effect-free builtins; the only attribute accesses (and method
+    calls) are on the context parameter; no imports, try/except,
+    global/nonlocal, nested ``def``, or identity comparisons.
+    Annotations are ignored.  The proof is static and cached per code
+    object; the *values* of closure cells and globals are checked per
+    launch by :func:`repro.compiler.dispatcher.function_signature`.
     """
     code = fn.__code__
     cached = _purity_cache.get(code)
@@ -289,8 +308,9 @@ _IMMUTABLE_SCALARS = (bool, int, float, complex, str, bytes, type(None))
 
 
 def immutable_value(v, depth: int = 0) -> bool:
-    """True when ``v`` is deeply immutable (safe as a closure cell of a
-    memoized kernel: the kernel cannot mutate it between launches)."""
+    """True when ``v`` is deeply immutable (safe as a closure cell or
+    module global of a memoized kernel: the kernel cannot mutate it
+    between launches)."""
     if depth > 4:
         return False
     if isinstance(v, _IMMUTABLE_SCALARS) or isinstance(v, enum.Enum):
@@ -303,15 +323,12 @@ def immutable_value(v, depth: int = 0) -> bool:
     return False
 
 
-# --------------------------------------------------------------------- #
-# Plan guards
-# --------------------------------------------------------------------- #
-
 _global_loads_cache: dict = {}
 
 
-def _global_load_names(code) -> frozenset[str]:
-    """Names the code object (and nested codes) loads as globals."""
+def _global_load_names(code) -> tuple[str, ...]:
+    """Names the code object (and nested codes) loads as globals,
+    sorted."""
     names = _global_loads_cache.get(code)
     if names is None:
         out: set[str] = set()
@@ -324,136 +341,9 @@ def _global_load_names(code) -> frozenset[str]:
             for const in c.co_consts:
                 if isinstance(const, types.CodeType):
                     stack.append(const)
-        names = frozenset(out)
+        names = tuple(sorted(out))
         _global_loads_cache[code] = names
     return names
-
-
-def _freeze_guard_value(v, depth: int = 0, seen=None):
-    """Stable value tree of one global a captured plan may have baked in.
-
-    Raises:
-        CaptureEscape: the value cannot be compared across launches
-            (exotic/mutable-opaque type) — the plan must not be cached.
-    """
-    if depth > 4:
-        raise CaptureEscape("global value nesting too deep")
-    if v is None or isinstance(v, (bool, int, float, complex, str, bytes)):
-        return ("k", v)
-    if isinstance(v, enum.Enum):
-        return ("enum", type(v).__qualname__, v.name)
-    if isinstance(v, (np.integer, np.floating, np.bool_)):
-        return ("np", v.dtype.str, v.item())
-    if isinstance(v, np.dtype):
-        return ("dtype", v.str)
-    if isinstance(v, (tuple, list)):
-        return ("seq", tuple(_freeze_guard_value(x, depth + 1, seen)
-                             for x in v))
-    if isinstance(v, (set, frozenset)):
-        return ("set", tuple(sorted(
-            (_freeze_guard_value(x, depth + 1, seen) for x in v),
-            key=repr)))
-    if isinstance(v, dict):
-        return ("map", tuple(sorted(
-            ((k, _freeze_guard_value(x, depth + 1, seen))
-             for k, x in v.items()), key=repr)))
-    if isinstance(v, np.ndarray):
-        return ("nd", v.dtype.str, v.shape,
-                hashlib.blake2b(v.tobytes(), digest_size=16).digest())
-    if isinstance(v, types.FunctionType):
-        if seen is None:
-            seen = set()
-        if id(v) in seen:
-            return ("fn-cycle",)
-        seen.add(id(v))
-        try:
-            code_digest = hashlib.blake2b(
-                marshal.dumps(v.__code__), digest_size=16).digest()
-            cells = tuple(
-                _freeze_guard_value(c.cell_contents, depth + 1, seen)
-                for c in (v.__closure__ or ()))
-            defaults = tuple(_freeze_guard_value(x, depth + 1, seen)
-                             for x in (v.__defaults__ or ()))
-        finally:
-            seen.discard(id(v))
-        return ("fn", code_digest, cells, defaults)
-    raise CaptureEscape(f"unguardable global {type(v).__name__}")
-
-
-def freeze_function_globals(fn) -> tuple:
-    """Frozen (name, value) pairs for every module global ``fn`` loads.
-
-    The shape key covers the kernel's code, closure, and defaults, but a
-    kernel admitted under ``force`` mode (no static purity proof) may
-    also read module globals whose *values* get baked into a captured
-    plan as constants.  This signature is captured at lift time and
-    re-frozen before every replay, so a changed global — same shapes,
-    semantically different behavior — falsifies the candidate plan.
-
-    Raises:
-        CaptureEscape: a referenced global cannot be frozen.
-    """
-    g = fn.__globals__
-    pairs = []
-    for name in sorted(_global_load_names(fn.__code__)):
-        if name in g:
-            pairs.append((name, _freeze_guard_value(g[name])))
-    return tuple(pairs)
-
-
-class PlanGuard:
-    """Lift-time predicate validating a candidate plan against inputs.
-
-    Captured together with the plan (and persisted beside it in the
-    on-disk store); :meth:`validate` must pass before any shape-keyed
-    replay.  It re-checks the two channels the structural digest cannot
-    watch by itself:
-
-    * the **array set** — names, element counts, dtypes — the capture
-      assumed (every recorded index was bounds-checked against these);
-    * the kernel's **module globals** (see
-      :func:`freeze_function_globals`) — same shape, semantically
-      different control flow must not replay.
-    """
-
-    __slots__ = ("globals_sig", "arrays")
-
-    def __init__(self, globals_sig: tuple, arrays: tuple) -> None:
-        self.globals_sig = globals_sig
-        self.arrays = arrays
-
-    def __getstate__(self):
-        return (self.globals_sig, self.arrays)
-
-    def __setstate__(self, state):
-        self.globals_sig, self.arrays = state
-
-    def validate(self, fn, memory) -> bool:
-        """True when the plan is sound for ``fn`` over ``memory`` now."""
-        if len(memory) != len(self.arrays):
-            return False
-        for name, size, dt in self.arrays:
-            arr = memory.get(name)
-            if not isinstance(arr, np.ndarray) or arr.size != size \
-                    or arr.dtype.str != dt:
-                return False
-        try:
-            return freeze_function_globals(fn) == self.globals_sig
-        except CaptureEscape:
-            return False
-
-
-def build_plan_guard(fn, memory) -> PlanGuard:
-    """Capture a :class:`PlanGuard` for ``fn`` over ``memory``.
-
-    Raises:
-        CaptureEscape: when a referenced global defies freezing — the
-            plan would not be falsifiable, so it must not be cached.
-    """
-    arrays = tuple(sorted(
-        (name, int(arr.size), arr.dtype.str)
-        for name, arr in memory.items()))
-    return PlanGuard(freeze_function_globals(fn), arrays)
 
 
 # --------------------------------------------------------------------- #

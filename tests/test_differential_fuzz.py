@@ -19,11 +19,15 @@ order.
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro.compiler.dispatcher import dispatch_forced
+from repro.compiler.dispatcher import (
+    DISPATCHER, dispatch_disabled, dispatch_forced,
+)
 from repro.cuda.interpreter import Cuda
 from repro.gpu.spec import LaunchConfig
 from repro.obs.metrics import counter_value
@@ -548,7 +552,6 @@ def test_openmp_lifted_tier_matches_reference(quiet_cpu, seed):
     """Byte-identity of tier-1 region plans, with the plan provably
     executing (fresh shared contents defeat tier-0 replay; the
     ``dispatch.lifted_regions`` tripwire defeats a silent fallback)."""
-    from repro.compiler.dispatcher import DISPATCHER
     rng = random.Random(7000 + seed)
     ops = _gen_steady_omp_ops(rng)
     body = _make_steady_omp_body(ops)
@@ -556,6 +559,7 @@ def test_openmp_lifted_tier_matches_reference(quiet_cpu, seed):
     DISPATCHER.clear()
     with dispatch_forced():
         omp = OpenMP(quiet_cpu, n_threads=n_threads, detect_races=False)
+        omp.parallel(body, _steady_omp_shared(n_threads, 2))  # sighting
         omp.parallel(body, _steady_omp_shared(n_threads, 0))  # capture
         lifted = counter_value("dispatch.lifted_regions")
         hits = counter_value("dispatch.shape_hit")
@@ -575,3 +579,121 @@ def test_openmp_lifted_tier_matches_reference(quiet_cpu, seed):
     for name in ref_shared:
         assert fast_shared[name].tobytes() == \
             ref_shared[name].tobytes(), f"seed {seed}: {name}"
+
+
+# ------------------ invalidation: a flipped global ------------------- #
+
+#: Fixed-seed corpus size per runtime for the invalidation case.
+N_FLIP_PROGRAMS = 10
+
+#: The module global every invalidation program reads; each test flips
+#: it between launches with identical contents.
+_FLIP_SCALE = 1
+
+
+def _gen_flip_program(rng, kinds):
+    """A steady descriptor tuple: immutable, so the program stays
+    eligible in the default (strict) mode as well as under force."""
+    return tuple((rng.choice(kinds), rng.randint(1, 3))
+                 for _ in range(rng.randint(2, 6)))
+
+
+def _make_flip_cuda_kernel(program):
+    def kernel(t):
+        acc = t.global_id % 7
+        for kind, k in program:
+            if kind == "alu":
+                yield t.alu(k)
+            elif kind == "read":
+                value = yield t.global_read(
+                    "g0", (t.global_id + k) % t.total_threads)
+                acc = acc + value * k
+            else:
+                old = yield t.atomic_add("acc", k, acc % 5 + _FLIP_SCALE)
+                acc = acc + old
+        yield t.global_write("out", t.global_id, acc * _FLIP_SCALE)
+    return kernel
+
+
+def _make_flip_omp_body(program):
+    def body(tc):
+        acc = tc.tid
+        for kind, k in program:
+            if kind == "read":
+                value = yield tc.read("a", (tc.tid + k) % 16)
+                acc = acc + value * k
+            elif kind == "atomic":
+                old = yield tc.atomic_capture(
+                    "acc", k, lambda cur: cur + _FLIP_SCALE)
+                acc = acc + old
+            else:
+                yield tc.barrier()
+        yield tc.write("out", tc.tid, acc * _FLIP_SCALE)
+    return body
+
+
+def _check_flip_sequence(monkeypatch, run, seed):
+    """Launch ``run(salt)`` around a flip of :data:`_FLIP_SCALE`, in
+    both dispatch modes.  Every launch must equal the undispatched
+    runtime at the same scale, and every tier must engage (a vacuous
+    pass would prove nothing).
+
+    Before the flip: first sighting, capture, tier-0 replay.  After it,
+    identical contents again (a stale tier-0 entry would answer), then
+    the flipped shape's own sighting and capture.
+    """
+    module = sys.modules[__name__]
+    tiers = ("dispatch.hit", "dispatch.compile", "dispatch.shape_hit")
+    for mode in (dispatch_forced, nullcontext):
+        DISPATCHER.clear()
+        before = [counter_value(name) for name in tiers]
+        for scale, salts in ((1, (1, 0, 0)), (5, (0, 0, 2, 3))):
+            monkeypatch.setattr(module, "_FLIP_SCALE", scale)
+            for salt in salts:
+                with mode():
+                    got = run(salt)
+                with dispatch_disabled():
+                    assert got == run(salt), \
+                        f"seed {seed} {mode.__name__}: salt {salt} @ {scale}"
+        moved = [counter_value(name) - b for name, b in zip(tiers, before)]
+        assert moved == [2, 2, 1], \
+            f"seed {seed} {mode.__name__}: tiers moved {moved}"
+
+
+@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
+def test_cuda_global_flip_matches_reference(mini_gpu, monkeypatch, seed):
+    rng = random.Random(8000 + seed)
+    kernel = _make_flip_cuda_kernel(
+        _gen_flip_program(rng, ("alu", "read", "atomic")))
+    block = rng.choice((32, 64))
+    launch = LaunchConfig(2, block)
+
+    def run(salt):
+        n = 2 * block
+        memory = {"g0": (np.arange(n, dtype=np.int64) * 7 + salt) % 61,
+                  "acc": np.zeros(4, np.int64),
+                  "out": np.zeros(n, np.int64)}
+        result = Cuda(mini_gpu).launch(kernel, launch, memory)
+        return (result.elapsed_cycles, result.block_cycles, result.stats,
+                {name: arr.tobytes() for name, arr in memory.items()})
+
+    _check_flip_sequence(monkeypatch, run, seed)
+
+
+@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
+def test_openmp_global_flip_matches_reference(quiet_cpu, monkeypatch,
+                                              seed):
+    rng = random.Random(9000 + seed)
+    body = _make_flip_omp_body(
+        _gen_flip_program(rng, ("read", "atomic", "barrier")))
+    n_threads = rng.choice((2, 4))
+
+    def run(salt):
+        shared = _steady_omp_shared(n_threads, salt)
+        result = OpenMP(quiet_cpu, n_threads=n_threads,
+                        detect_races=False).parallel(body, shared)
+        return (result.elapsed_ns, result.thread_times_ns,
+                result.barriers, result.requests,
+                {name: arr.tobytes() for name, arr in shared.items()})
+
+    _check_flip_sequence(monkeypatch, run, seed)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import signal
+import sys
 import threading
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from repro.compiler.dispatcher import (
     machine_fingerprint,
 )
 from repro.compiler.lift import kernel_purity
-from repro.cuda.interpreter import Cuda
+from repro.cuda.interpreter import Cuda, KernelThread
 from repro.gpu.costs import GpuCostParams
 from repro.gpu.device import GpuDevice
 from repro.gpu.spec import LaunchConfig
@@ -72,10 +74,26 @@ def divergent_kernel(t):
 
 
 _MODULE_SCALE = 3
+_MODULE_TABLE = [3]
 
 
-def impure_kernel(t):
-    yield t.global_write("b", t.global_id, _MODULE_SCALE)
+def _module_helper(x):
+    return x * _MODULE_SCALE
+
+
+# Really impure: a mutable module list, and a call into module code.
+def list_kernel(t):
+    yield t.global_write("b", t.global_id, _MODULE_TABLE[0])
+
+
+def helper_kernel(t):
+    yield t.global_write("b", t.global_id, _module_helper(t.global_id))
+
+
+# Pure: an annotated context parameter and an immutable module constant.
+def annotated_kernel(t: KernelThread):
+    value = yield t.global_read("a", t.global_id)
+    yield t.global_write("b", t.global_id, value * _MODULE_SCALE)
 
 
 LC = LaunchConfig(2, 64)
@@ -133,6 +151,7 @@ class TestCudaDispatch:
     def test_miss_then_hit_accounting(self, mini_gpu):
         DISPATCHER.clear()
         cuda = Cuda(mini_gpu)
+        cuda.launch(steady_kernel, LC, _memory(1))  # first sighting
         before = _counters(*DISPATCH)
         first = _memory()
         cuda.launch(steady_kernel, LC, first)
@@ -168,7 +187,8 @@ class TestCudaDispatch:
     def test_lifted_plans_reused_on_fresh_data(self, mini_gpu):
         DISPATCHER.clear()
         cuda = Cuda(mini_gpu)
-        cuda.launch(steady_kernel, LC, _memory(0))
+        cuda.launch(steady_kernel, LC, _memory(2))  # first sighting
+        cuda.launch(steady_kernel, LC, _memory(0))  # capture
         before = _counters(*DISPATCH)
         fast_mem = _memory(1)  # new content: replay must miss
         fast = cuda.launch(steady_kernel, LC, fast_mem)
@@ -189,9 +209,9 @@ class TestCudaDispatch:
         cuda = Cuda(mini_gpu)
         rec = Recorder()
         with recording(rec):
-            cuda.launch(steady_kernel, LC, _memory(0))  # capture
+            cuda.launch(steady_kernel, LC, _memory(0))  # first sighting
             cuda.launch(steady_kernel, LC, _memory(0))  # replay hit
-            cuda.launch(steady_kernel, LC, _memory(1))  # lifted plans
+            cuda.launch(steady_kernel, LC, _memory(1))  # capture + plans
         names = [s["name"] for s in rec.spans()]
         assert "dispatch.capture" in names
         assert "dispatch.replay" in names
@@ -203,6 +223,7 @@ class TestCudaDispatch:
     def test_divergent_kernel_falls_back_but_replays(self, mini_gpu):
         DISPATCHER.clear()
         cuda = Cuda(mini_gpu)
+        cuda.launch(divergent_kernel, LC, _memory(1))  # first sighting
         before = _counters(*DISPATCH)
         cuda.launch(divergent_kernel, LC, _memory())
         d = _deltas(before)
@@ -219,16 +240,22 @@ class TestCudaDispatch:
         assert _snapshot(replayed) == _snapshot(ref)
 
     def test_impure_kernel_not_keyed(self, mini_gpu):
-        DISPATCHER.clear()
-        ok, reason = kernel_purity(impure_kernel)
-        assert not ok and "_MODULE_SCALE" in reason
-        cuda = Cuda(mini_gpu)
-        before = _counters(*DISPATCH)
-        cuda.launch(impure_kernel, LC, _memory())
-        cuda.launch(impure_kernel, LC, _memory())
-        d = _deltas(before)
-        assert d["dispatch.fallback"] == 2
-        assert d["dispatch.hit"] == d["dispatch.miss"] == 0
+        for kernel, culprit in ((list_kernel, "list"),
+                                (helper_kernel, "function")):
+            DISPATCHER.clear()
+            with pytest.raises(dmod._Unsignable, match=culprit):
+                dmod.function_signature(kernel, False)
+            cuda = Cuda(mini_gpu)
+            before = _counters(*DISPATCH)
+            cuda.launch(kernel, LC, _memory())
+            cuda.launch(kernel, LC, _memory())
+            d = _deltas(before)
+            assert d["dispatch.fallback"] == 2, kernel.__name__
+            assert d["dispatch.hit"] == d["dispatch.miss"] == 0
+        # Annotations are never evaluated by the generator; an
+        # immutable module constant is keyed by value.
+        ok, reason = kernel_purity(annotated_kernel)
+        assert ok, reason
 
     def test_budget_exhaustion_identical_to_reference(self, mini_gpu):
         DISPATCHER.clear()
@@ -325,13 +352,13 @@ class TestModes:
         cuda = Cuda(mini_gpu)
         with dispatch_forced():
             forced = _memory()
-            cuda.launch(impure_kernel, LC, forced)
+            cuda.launch(list_kernel, LC, forced)
             before = _counters("dispatch.hit")
             warm = _memory()
-            cuda.launch(impure_kernel, LC, warm)
+            cuda.launch(list_kernel, LC, warm)
             assert _deltas(before)["dispatch.hit"] == 1
         ref = _memory()
-        Cuda(mini_gpu, fast=False).launch(impure_kernel, LC, ref)
+        Cuda(mini_gpu, fast=False).launch(list_kernel, LC, ref)
         assert _snapshot(warm) == _snapshot(ref)
 
 
@@ -407,6 +434,98 @@ class TestOmpReplay:
                detect_races=False).parallel(omp_body, two)
         d = _deltas(before)
         assert d["dispatch.miss"] == 1 and d["dispatch.hit"] == 0
+
+
+# --------------------------------------------------------------------- #
+# Module globals are part of every key
+# --------------------------------------------------------------------- #
+
+
+_FLIP = 1
+
+
+def flip_kernel(t):
+    value = yield t.global_read("a", t.global_id)
+    yield t.alu(1)
+    yield t.global_write("b", t.global_id, value * _FLIP)
+
+
+def flip_body(tc):
+    yield tc.atomic_update("hist", tc.tid % 2, lambda v: v + _FLIP)
+    yield tc.barrier()
+    value = yield tc.atomic_read("hist", 0)
+    yield tc.atomic_write("out", tc.tid, value * _FLIP)
+
+
+def _flip_shared(seed: int = 0) -> dict[str, np.ndarray]:
+    return {"hist": np.full(2, seed, dtype=np.int64),
+            "out": np.zeros(4, dtype=np.int64)}
+
+
+@pytest.mark.parametrize("mode", [nullcontext, dispatch_forced],
+                         ids=["on", "force"])
+class TestModuleGlobals:
+    """A module global flipped between two launches with identical
+    contents: every tier must serve the flipped value, exactly as the
+    undispatched runtime does.  Before the flip each runtime sees a
+    first sighting, a capture, and a tier-0 replay."""
+
+    def test_cuda_flip_matches_reference(self, mini_gpu, monkeypatch,
+                                         mode):
+        module = sys.modules[__name__]
+        monkeypatch.setattr(module, "_FLIP", 1)
+        DISPATCHER.clear()
+        cuda = Cuda(mini_gpu)
+        with mode():
+            for seed in (1, 0, 0):
+                cuda.launch(flip_kernel, LC, _memory(seed))
+            monkeypatch.setattr(module, "_FLIP", 5)
+            before = _counters("dispatch.hit")
+            results = []
+            # New key and shape @ 5: sighting, replay, capture, plans.
+            for seed in (0, 0, 2, 3):
+                memory = _memory(seed)
+                results.append((seed, memory,
+                                 cuda.launch(flip_kernel, LC, memory)))
+            hits = _deltas(before)["dispatch.hit"]
+        for seed, memory, result in results:
+            ref_mem = _memory(seed)
+            with dispatch_disabled():
+                ref = Cuda(mini_gpu).launch(flip_kernel, LC, ref_mem)
+            assert np.array_equal(memory["b"], memory["a"] * 5)
+            assert _snapshot(memory) == _snapshot(ref_mem)
+            assert result.elapsed_cycles == ref.elapsed_cycles
+            assert result.block_cycles == ref.block_cycles
+            assert result.stats == ref.stats
+        assert hits == 1, "the flipped kernel must be keyed, and keyed anew"
+
+    def test_omp_flip_matches_reference(self, quiet_cpu, monkeypatch,
+                                        mode):
+        module = sys.modules[__name__]
+        monkeypatch.setattr(module, "_FLIP", 1)
+        DISPATCHER.clear()
+        omp = OpenMP(quiet_cpu, n_threads=4, detect_races=False)
+        with mode():
+            for seed in (1, 0, 0):
+                omp.parallel(flip_body, _flip_shared(seed))
+            monkeypatch.setattr(module, "_FLIP", 5)
+            before = _counters("dispatch.hit")
+            results = []
+            for seed in (0, 0, 2, 3):
+                shared = _flip_shared(seed)
+                results.append((seed, shared,
+                                omp.parallel(flip_body, shared)))
+            hits = _deltas(before)["dispatch.hit"]
+        for seed, shared, result in results:
+            ref_shared = _flip_shared(seed)
+            with dispatch_disabled():
+                ref = omp.parallel(flip_body, ref_shared)
+            assert _snapshot(shared) == _snapshot(ref_shared)
+            assert result.elapsed_ns == ref.elapsed_ns
+            assert result.thread_times_ns == ref.thread_times_ns
+            assert result.barriers == ref.barriers
+            assert result.requests == ref.requests
+        assert hits == 1, "the flipped body must be keyed, and keyed anew"
 
 
 # --------------------------------------------------------------------- #
@@ -546,23 +665,38 @@ class TestBenchCompare:
 # --------------------------------------------------------------------- #
 
 
-_GUARD_SCALE = 2
+_PLAN_SCALE = 2
 
 
-def guarded_kernel(t):
-    yield t.global_write("b", t.global_id, _GUARD_SCALE * 7)
+def scaled_kernel(t):
+    yield t.global_write("b", t.global_id, _PLAN_SCALE * 7)
 
 
 class TestShapeKeys:
     def test_fresh_content_is_a_shape_hit(self, mini_gpu):
         DISPATCHER.clear()
         cuda = Cuda(mini_gpu)
+        cuda.launch(steady_kernel, LC, _memory(2))  # first sighting
         cuda.launch(steady_kernel, LC, _memory(0))  # capture
         before = _counters("dispatch.shape_hit", "dispatch.compile")
         cuda.launch(steady_kernel, LC, _memory(1))  # fresh content
         d = _deltas(before)
         assert d["dispatch.shape_hit"] == 1
         assert d["dispatch.compile"] == 0
+
+    def test_first_sighting_defers_capture(self, mini_gpu):
+        DISPATCHER.clear()
+        cuda = Cuda(mini_gpu)
+        before = _counters("dispatch.compile", "dispatch.first_sight",
+                           "dispatch.fallback")
+        cuda.launch(steady_kernel, LC, _memory(0))
+        assert _deltas(before) == {"dispatch.compile": 0,
+                                   "dispatch.first_sight": 1,
+                                   "dispatch.fallback": 0}
+        before = _counters("dispatch.compile", "dispatch.first_sight")
+        cuda.launch(steady_kernel, LC, _memory(1))
+        assert _deltas(before) == {"dispatch.compile": 1,
+                                   "dispatch.first_sight": 0}
 
     def test_identical_content_replays_without_shape_lookup(self,
                                                             mini_gpu):
@@ -575,41 +709,62 @@ class TestShapeKeys:
         assert d["dispatch.hit"] == 1
         assert d["dispatch.shape_hit"] == 0
 
-    def test_guard_falsifies_stale_plans(self, mini_gpu, monkeypatch):
+    def test_global_flip_keys_new_plans(self, mini_gpu, monkeypatch):
         """Same shape, different semantics must NOT replay.
 
         Flipping a module global the kernel reads changes what the
         kernel computes without changing any dtype, shape, or launch
-        parameter — the shape digest collides, and only the lift-time
-        guard stands between the dispatcher and a stale answer.
+        parameter.  The global's value is part of the kernel signature,
+        so the flipped kernel has a new shape digest and earns its own
+        plans on its own second sighting.
         """
-        import sys
-        DISPATCHER.clear()
+        module = sys.modules[__name__]
         cuda = Cuda(mini_gpu)
-        with dispatch_forced():  # module-global kernels are impure
-            cuda.launch(guarded_kernel, LC, _memory(0))  # capture @ 2
-            monkeypatch.setattr(sys.modules[__name__],
-                                "_GUARD_SCALE", 5)
-            before = _counters("dispatch.shape_hit", "dispatch.compile")
-            flipped = _memory(1)  # fresh content: tier 0 must miss
-            cuda.launch(guarded_kernel, LC, flipped)
-            d = _deltas(before)
-            assert d["dispatch.shape_hit"] == 0, \
-                "guard must reject the stale plan"
-            assert d["dispatch.compile"] == 1, "must recapture"
-        assert np.all(flipped["b"] == 35), "stale plan served 2 * 7"
-        ref = _memory(1)
-        Cuda(mini_gpu, fast=False).launch(guarded_kernel, LC, ref)
-        assert _snapshot(flipped) == _snapshot(ref)
+        for mode in (nullcontext, dispatch_forced):
+            DISPATCHER.clear()
+            monkeypatch.setattr(module, "_PLAN_SCALE", 2)
+            with mode():
+                cuda.launch(scaled_kernel, LC, _memory(2))  # sighting @ 2
+                cuda.launch(scaled_kernel, LC, _memory(0))  # capture @ 2
+                monkeypatch.setattr(module, "_PLAN_SCALE", 5)
+                before = _counters("dispatch.shape_hit",
+                                   "dispatch.compile")
+                cuda.launch(scaled_kernel, LC, _memory(2))  # sighting @ 5
+                flipped = _memory(1)  # fresh content: tier 0 must miss
+                cuda.launch(scaled_kernel, LC, flipped)
+                d = _deltas(before)
+                assert d["dispatch.shape_hit"] == 0, \
+                    "the plans captured @ 2 must not serve @ 5"
+                assert d["dispatch.compile"] == 1, "must capture anew"
+            assert np.all(flipped["b"] == 35), "stale plan served 2 * 7"
+            ref = _memory(1)
+            Cuda(mini_gpu, fast=False).launch(scaled_kernel, LC, ref)
+            assert _snapshot(flipped) == _snapshot(ref)
 
-    def test_guard_accepts_unchanged_globals(self, mini_gpu):
-        DISPATCHER.clear()
+    def test_equal_but_distinct_globals_key_apart(self, mini_gpu,
+                                                  monkeypatch):
+        """``1``, ``1.0`` and ``True`` compare equal, yet a kernel can
+        tell them apart; so must the replay key."""
+        module = sys.modules[__name__]
         cuda = Cuda(mini_gpu)
-        with dispatch_forced():
-            cuda.launch(guarded_kernel, LC, _memory(0))
-            before = _counters("dispatch.shape_hit")
-            cuda.launch(guarded_kernel, LC, _memory(1))
-            assert _deltas(before)["dispatch.shape_hit"] == 1
+        keys = set()
+        for value in (1, 1.0, True):
+            monkeypatch.setattr(module, "_PLAN_SCALE", value)
+            ticket = DISPATCHER.begin_cuda(cuda, scaled_kernel, LC,
+                                           _memory(0), {})
+            keys.add(ticket.key)
+        assert len(keys) == 3
+
+    def test_unchanged_globals_reuse_plans(self, mini_gpu):
+        cuda = Cuda(mini_gpu)
+        for mode in (nullcontext, dispatch_forced):
+            DISPATCHER.clear()
+            with mode():
+                cuda.launch(scaled_kernel, LC, _memory(2))  # sighting
+                cuda.launch(scaled_kernel, LC, _memory(0))  # capture
+                before = _counters("dispatch.shape_hit")
+                cuda.launch(scaled_kernel, LC, _memory(1))
+                assert _deltas(before)["dispatch.shape_hit"] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -624,8 +779,8 @@ class TestPlanStore:
     def test_round_trip(self, tmp_path):
         from repro.compiler.store import PlanStore
         store = PlanStore(tmp_path)
-        assert store.save(self._digest(1), [1, 2, 3], {"g": 7})
-        assert store.load(self._digest(1)) == ([1, 2, 3], {"g": 7})
+        assert store.save(self._digest(1), [1, 2, 3])
+        assert store.load(self._digest(1)) == [1, 2, 3]
 
     def test_missing_digest_is_a_miss(self, tmp_path):
         from repro.compiler.store import PlanStore
@@ -636,7 +791,7 @@ class TestPlanStore:
     def test_corruption_reads_as_miss(self, tmp_path):
         from repro.compiler.store import PlanStore
         store = PlanStore(tmp_path)
-        store.save(self._digest(3), ["plans"], None)
+        store.save(self._digest(3), ["plans"])
         path, = tmp_path.glob("*.plan")
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF  # flip one payload byte: checksum must catch
@@ -648,7 +803,7 @@ class TestPlanStore:
     def test_truncated_entry_reads_as_miss(self, tmp_path):
         from repro.compiler.store import PlanStore
         store = PlanStore(tmp_path)
-        store.save(self._digest(4), ["plans"], None)
+        store.save(self._digest(4), ["plans"])
         path, = tmp_path.glob("*.plan")
         path.write_bytes(path.read_bytes()[:10])  # torn write
         assert store.load(self._digest(4)) is None
@@ -658,7 +813,7 @@ class TestPlanStore:
         store = PlanStore(tmp_path, max_entries=2)
         before = _counters("cache.evictions")
         for n in range(4):
-            store.save(self._digest(n), [n], None)
+            store.save(self._digest(n), [n])
         assert store.entries() <= 2
         assert _deltas(before)["cache.evictions"] >= 2
 
@@ -669,6 +824,7 @@ class TestPlanStore:
         fresh.plan_store = PlanStore(tmp_path)
         monkeypatch.setattr(dmod, "DISPATCHER", fresh)
         cuda = Cuda(mini_gpu)
+        cuda.launch(steady_kernel, LC, _memory(2))  # first sighting
         before = _counters("dispatch.disk_write")
         cuda.launch(steady_kernel, LC, _memory(0))
         assert _deltas(before)["dispatch.disk_write"] == 1
@@ -691,11 +847,15 @@ class TestPlanStore:
         fresh.plan_store = PlanStore(tmp_path)
         monkeypatch.setattr(dmod, "DISPATCHER", fresh)
         cuda = Cuda(mini_gpu)
-        cuda.launch(steady_kernel, LC, _memory(0))
+        cuda.launch(steady_kernel, LC, _memory(2))  # first sighting
+        cuda.launch(steady_kernel, LC, _memory(0))  # capture + save
         for path in tmp_path.glob("*.plan"):
             path.write_bytes(b"debris")
         fresh.clear()
         before = _counters("dispatch.compile", "dispatch.disk_hit")
+        # The cold first sighting finds only debris on disk; the second
+        # sighting recaptures.
+        cuda.launch(steady_kernel, LC, _memory(2))
         warm = _memory(1)
         cuda.launch(steady_kernel, LC, warm)
         d = _deltas(before)
@@ -715,6 +875,8 @@ class TestPoolPlanShipping:
     def test_plans_replay_in_the_pool_byte_identically(self, mini_gpu):
         DISPATCHER.clear()
         cuda = Cuda(mini_gpu)
+        cuda.launch(pool_kernel, GRID, _pool_memory(2),
+                    block_jobs=2)  # first sighting
         cuda.launch(pool_kernel, GRID, _pool_memory(0), block_jobs=2)
         before = _counters("interp.cuda.pool.plan_jobs",
                            "dispatch.shape_hit")

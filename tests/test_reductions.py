@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.compiler.dispatcher import DISPATCHER, dispatch_disabled
+from repro.compiler.lift import kernel_purity
+from repro.obs.metrics import counter_value
 from repro.reductions import (
     REDUCTION_NAMES,
     compare_reductions,
@@ -125,3 +128,32 @@ class TestPaperOrdering:
         ratio = outcomes["reduction2"].elapsed_cycles / \
             outcomes["reduction5"].elapsed_cycles
         assert 1.8 <= ratio <= 3.5
+
+
+class TestListing1Dispatch:
+    """Listing 1's kernels are dispatch-eligible: a repeat pass on
+    identical input is served from tier-0 replay, byte-identically."""
+
+    def test_all_five_kernels_are_pure(self):
+        for name in REDUCTION_NAMES:
+            ok, reason = kernel_purity(make_reduction(name, 4096))
+            assert ok, f"{name}: {reason}"
+
+    def test_repeat_pass_replays_byte_identically(self, mini_gpu, data):
+        DISPATCHER.clear()
+        compiles = counter_value("dispatch.compile")
+        fresh = compare_reductions(mini_gpu, data.copy(), block_threads=64)
+        assert counter_value("dispatch.compile") == compiles, \
+            "a first sighting must not capture"
+        hits = counter_value("dispatch.hit")
+        repeat = compare_reductions(mini_gpu, data.copy(),
+                                    block_threads=64)
+        assert counter_value("dispatch.hit") - hits == 5
+        with dispatch_disabled():
+            ref = compare_reductions(mini_gpu, data.copy(),
+                                     block_threads=64)
+        for name in REDUCTION_NAMES:
+            for got in (fresh[name], repeat[name]):
+                assert got.value == ref[name].value, name
+                assert got.elapsed_cycles == ref[name].elapsed_cycles, name
+                assert got.stats == ref[name].stats, name
