@@ -312,22 +312,6 @@ def _shape_digest(sig: tuple) -> bytes:
     return hashlib.blake2b(repr(sig).encode(), digest_size=16).digest()
 
 
-class _PlanSet:
-    """Cached lifted plans plus their lazily built shipping blob.
-
-    ``plans`` is a ``BlockPlan`` list (CUDA) or a single ``RegionPlan``
-    (OpenMP).  ``blob``/``ship_key`` lazily cache the pickled form and
-    its content key for pool shipping.
-    """
-
-    __slots__ = ("plans", "blob", "ship_key")
-
-    def __init__(self, plans) -> None:
-        self.plans = plans
-        self.blob = None
-        self.ship_key = None
-
-
 # --------------------------------------------------------------------- #
 # Cache entries
 # --------------------------------------------------------------------- #
@@ -466,8 +450,9 @@ class Dispatcher:
     def _lookup_plans(self, digest: bytes, fn, capture):
         """Plans for one shape digest: memory -> disk -> capture.
 
-        Returns ``(plan_set, source)`` where ``plan_set`` is a
-        :class:`_PlanSet`, :data:`_UNLIFTABLE`, or ``None`` and
+        Returns ``(plans, source)`` where ``plans`` is the captured
+        ``BlockPlan`` list (CUDA) or ``RegionPlan`` (OpenMP),
+        :data:`_UNLIFTABLE`, or ``None`` and
         ``source`` is ``"mem"``, ``"disk"``, ``"fresh"``, or ``None``.
         A shape's first sighting loads from disk when it can; otherwise
         it only marks the shape :data:`_SEEN` and returns ``(None,
@@ -475,21 +460,20 @@ class Dispatcher:
         the second sighting: a one-off launch never pays for plans that
         nothing would reuse.
         """
-        pset = self._get_plans(digest)
-        if pset is _UNLIFTABLE:
+        plans = self._get_plans(digest)
+        if plans is _UNLIFTABLE:
             return _UNLIFTABLE, None
-        if pset is None:
+        if plans is None:
             store = self.plan_store
             plans = store.load(digest) if store is not None else None
             if plans is None:
                 self._put_plans(digest, _SEEN)
                 _C_FIRST_SIGHT.add(1)
                 return None, None
-            pset = _PlanSet(plans)
-            self._put_plans(digest, pset)
-            return pset, "disk"
-        if pset is not _SEEN:
-            return pset, "mem"
+            self._put_plans(digest, plans)
+            return plans, "disk"
+        if plans is not _SEEN:
+            return plans, "mem"
         code = fn.__code__
         if self._capture_aborts.get(code, 0) >= _MAX_CAPTURE_ABORTS:
             self._put_plans(digest, _UNLIFTABLE)
@@ -503,11 +487,10 @@ class Dispatcher:
                 self._capture_aborts.get(code, 0) + 1
             self._put_plans(digest, _UNLIFTABLE)
             return _UNLIFTABLE, None
-        pset = _PlanSet(plans)
-        self._put_plans(digest, pset)
+        self._put_plans(digest, plans)
         if self.plan_store is not None:
             self.plan_store.save(digest, plans)
-        return pset, "fresh"
+        return plans, "fresh"
 
     def _digest_memory(self, memory) -> tuple | None:
         """(static signature, content digest, pre-bytes snapshot), or
@@ -639,15 +622,8 @@ class _CudaTicket:
         _C_HIT.add(1)
         return list(entry.block_cycles)
 
-    def run_lifted(self, ctx, stats, budget,
-                   block_jobs: int = 1) -> list[float] | None:
-        """Execute via compiled block plans; None when unliftable.
-
-        With ``block_jobs > 1`` the plans are marshalled to the
-        persistent worker pool (cached worker-side by content key) and
-        replayed there instead of re-interpreted; any hazard falls back
-        to the serial plan loop below, byte-identically.
-        """
+    def run_lifted(self, ctx, stats, budget) -> list[float] | None:
+        """Execute via compiled block plans; None when unliftable."""
         disp = self.disp
 
         def capture():
@@ -658,26 +634,17 @@ class _CudaTicket:
                 mem_info, self.shared_decls, self.cuda.max_steps)
                 for b in range(self.launch.grid_blocks)]
 
-        pset, source = disp._lookup_plans(self.plan_key, self.kernel,
-                                          capture)
-        if pset is None:
+        plans, source = disp._lookup_plans(self.plan_key, self.kernel,
+                                           capture)
+        if plans is None:
             return None
-        if pset is _UNLIFTABLE:
+        if plans is _UNLIFTABLE:
             _C_FALLBACK.add(1)
             return None
         if source == "mem":
             _C_SHAPE_HIT.add(1)
-        plans = pset.plans
         with obs_span("dispatch.lifted", kind="cuda",
                       blocks=len(plans), source=source):
-            if block_jobs > 1 and self.launch.grid_blocks > 1:
-                from repro.cuda.parallel import try_parallel_plans
-                cycles = try_parallel_plans(pset, self.memory,
-                                            self.shared_decls, stats,
-                                            budget, block_jobs)
-                if cycles is not None:
-                    _C_LIFTED.add(len(plans))
-                    return cycles
             from repro.cuda.fastpath import run_block_fast
             cycles: list[float] = []
             n_lifted = 0
@@ -772,14 +739,13 @@ class _OmpTicket:
             return lift.capture_region_plan(omp, self.body, shared_info,
                                             omp.max_steps)
 
-        pset, source = disp._lookup_plans(self.plan_key, self.body,
+        plan, source = disp._lookup_plans(self.plan_key, self.body,
                                           capture)
-        if pset is None:
+        if plan is None:
             return None
-        if pset is _UNLIFTABLE:
+        if plan is _UNLIFTABLE:
             _C_FALLBACK.add(1)
             return None
-        plan = pset.plans
         if plan.steps > omp.max_steps:
             # Captured under a larger budget; only a stepped execution
             # knows where the current budget trips.

@@ -361,7 +361,7 @@ class BlockPlan:
         stats: Nonzero ``LaunchStats`` field deltas as (name, delta).
     """
 
-    __slots__ = ("cycles", "steps", "n_slots", "effects", "stats", "fp")
+    __slots__ = ("cycles", "steps", "n_slots", "effects", "stats")
 
     def __init__(self, cycles: float, steps: int, n_slots: int,
                  effects: list, stats: tuple) -> None:
@@ -370,47 +370,6 @@ class BlockPlan:
         self.n_slots = n_slots
         self.effects = effects
         self.stats = stats
-        self.fp = None
-
-    def __getstate__(self):
-        return (self.cycles, self.steps, self.n_slots, self.effects,
-                self.stats)
-
-    def __setstate__(self, state):
-        (self.cycles, self.steps, self.n_slots, self.effects,
-         self.stats) = state
-        self.fp = None
-
-    def footprint(self):
-        """The plan's global-memory footprint (memoized).
-
-        Effect index lists are static, so the
-        :class:`~repro.cuda.race.BlockFootprint` the fast tier would
-        record per block is derivable without executing anything — that
-        is what lets the pool verify chunk disjointness *before*
-        dispatching plans to workers.  Atomics count as writes (their
-        returned old value makes overlap order-visible), matching
-        :meth:`BlockFootprint.record_pass`.
-        """
-        fp = self.fp
-        if fp is None:
-            from repro.cuda.race import BlockFootprint
-            fp = BlockFootprint()
-            for eff in self.effects:
-                tag = eff[0]
-                if tag == "r":
-                    _, in_shared, var, idx_np, _ = eff
-                    if not in_shared:
-                        fp.reads.setdefault(var, set()).update(
-                            idx_np.tolist())
-                elif tag == "w":
-                    if not eff[1]:
-                        fp.writes.setdefault(eff[2], set()).update(eff[4])
-                else:  # "a"
-                    if not eff[2]:
-                        fp.writes.setdefault(eff[3], set()).update(eff[5])
-            self.fp = fp
-        return fp
 
     def execute(self, memory: dict[str, np.ndarray],
                 shared_decls: dict[str, tuple[int, np.dtype]],

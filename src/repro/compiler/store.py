@@ -33,7 +33,7 @@ from repro.obs.metrics import counter
 
 #: Bump when BlockPlan/RegionPlan or entry encoding changes — stale
 #: on-disk entries from older encodings then simply never match a key.
-DISPATCH_VERSION = 2
+DISPATCH_VERSION = 3
 
 _MAGIC = b"syncperf-plan/v1\n"
 _CHECKSUM_BYTES = 32

@@ -77,8 +77,7 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
                    shared_decls: dict[str, tuple[int, np.dtype]],
                    stats: LaunchStats, budget: StepBudget,
                    trace: Trace | None = None,
-                   detector: GpuRaceDetector | None = None,
-                   footprint=None) -> float:
+                   detector: GpuRaceDetector | None = None) -> float:
     """Execute one block with batched uniform-pass dispatch.
 
     Mirrors :meth:`Cuda._run_block_reference` exactly — same
@@ -522,9 +521,6 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
             if collective is not None:
                 return True, collective[0], collective[1]
             return stepped, 0.0, ""
-
-        if footprint is not None:
-            footprint.record_pass(reqs, shared)
 
         cls = reqs[0].__class__
         uniform = True

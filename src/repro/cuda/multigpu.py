@@ -27,12 +27,6 @@ family needs:
   :class:`repro.gpu.multi.MultiGpu` prices (device-scope ops at
   single-device cost, link-crossing ops with interconnect latency);
   barriers align clocks; the launch time is the slowest device.
-
-A content-keyed **replay tier** rides the dispatcher contract: when the
-fast path is on and :func:`repro.compiler.dispatcher.dispatch_mode` is
-not ``"off"``, a repeated launch (same kernel, devices, launch shape,
-and memory contents) replays the recorded outcome byte-for-byte instead
-of re-interpreting, bumping ``multigpu.replay_hit``.
 """
 
 from __future__ import annotations
@@ -56,8 +50,6 @@ from repro.obs.metrics import counter as _counter
 _C_LAUNCHES = _counter("multigpu.launches")
 _C_ROUNDS = _counter("multigpu.rounds")
 _C_PUBLISHES = _counter("multigpu.publishes")
-_C_REPLAY_HIT = _counter("multigpu.replay_hit")
-_C_REPLAY_MISS = _counter("multigpu.replay_miss")
 
 _ATOMIC_KIND_OF = {
     rq.AtomicAdd: PrimitiveKind.ATOMIC_ADD,
@@ -208,26 +200,15 @@ class MultiCuda:
         multi: The multi-GPU machine (devices + interconnect pricing).
         n_devices: Devices participating in every launch.
         max_steps: Interpreter step budget per launch.
-        fast: Enable the replay dispatch tier; ``None`` follows the
-            process default (the same ``SYNCPERF_ENGINE`` switch the
-            measurement engine and single-device runtime honor).
     """
 
     def __init__(self, multi: MultiGpu, n_devices: int,
-                 max_steps: int = 10_000_000,
-                 fast: bool | None = None) -> None:
-        from repro.core.engine import fast_path_default
+                 max_steps: int = 10_000_000) -> None:
         if n_devices < 1:
             raise SimulationError("need at least one device")
         self.multi = multi
         self.n_devices = n_devices
         self.max_steps = max_steps
-        self.fast = fast_path_default() if fast is None else fast
-        self._replay: dict[tuple, dict] = {}
-
-    def clear(self) -> None:
-        """Drop every recorded replay entry (cold-start the tier)."""
-        self._replay.clear()
 
     # ------------------------------ launch ----------------------------- #
 
@@ -256,75 +237,10 @@ class MultiCuda:
         ctx = self.multi.context(self.n_devices, launch)
         _C_LAUNCHES.add(1)
 
-        from repro.compiler.dispatcher import dispatch_mode
-        key = None
-        if self.fast and dispatch_mode() != "off":
-            key = self._replay_key(kernel, launch, system_mem, decls)
-            hit = self._replay.get(key)
-            if hit is not None:
-                _C_REPLAY_HIT.add(1)
-                return self._replay_result(hit, system_mem)
-            _C_REPLAY_MISS.add(1)
-
         with obs_span("multigpu.launch", devices=self.n_devices,
                       grid_blocks=launch.grid_blocks,
-                      block_threads=launch.block_threads,
-                      path="replay-miss" if key is not None
-                      else "reference"):
-            result = self._run(kernel, launch, ctx, system_mem, decls)
-        if key is not None:
-            self._replay[key] = self._record(result)
-        return result
-
-    # -------------------------- replay tier ---------------------------- #
-
-    @staticmethod
-    def _replay_key(kernel: MgKernel, launch: LaunchConfig,
-                    system: dict[str, np.ndarray],
-                    decls: dict[str, tuple[int, np.dtype]]) -> tuple:
-        """Content key: kernel identity + launch shape + memory bytes.
-
-        The kernel function object participates directly (closures over
-        different programs share a code object but are distinct keys);
-        the cache lives on the runtime instance, so keys never outlive
-        the objects they reference.
-        """
-        mem_sig = tuple(
-            (name, arr.dtype.str, arr.shape, arr.tobytes())
-            for name, arr in sorted(system.items()))
-        decl_sig = tuple((name, size, np.dtype(dt).str)
-                         for name, (size, dt) in sorted(decls.items()))
-        return (kernel, launch.grid_blocks, launch.block_threads,
-                mem_sig, decl_sig)
-
-    @staticmethod
-    def _record(result: MgLaunchResult) -> dict:
-        return {
-            "system": {name: arr.copy()
-                       for name, arr in result.system.items()},
-            "devices": [{name: arr.copy() for name, arr in mem.items()}
-                        for mem in result.device_memories],
-            "elapsed": result.elapsed_cycles,
-            "elapsed_ns": result.elapsed_ns,
-            "cycles": list(result.device_cycles),
-            "stats": MgLaunchStats(**vars(result.stats)),
-        }
-
-    @staticmethod
-    def _replay_result(record: dict,
-                       system: dict[str, np.ndarray]) -> MgLaunchResult:
-        for name, arr in record["system"].items():
-            system[name][...] = arr
-        return MgLaunchResult(
-            system=system,
-            device_memories=[{name: arr.copy()
-                              for name, arr in mem.items()}
-                             for mem in record["devices"]],
-            elapsed_cycles=record["elapsed"],
-            elapsed_ns=record["elapsed_ns"],
-            device_cycles=list(record["cycles"]),
-            stats=MgLaunchStats(**vars(record["stats"])),
-        )
+                      block_threads=launch.block_threads):
+            return self._run(kernel, launch, ctx, system_mem, decls)
 
     # ------------------------- reference loop --------------------------- #
 

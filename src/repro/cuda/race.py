@@ -59,78 +59,6 @@ class GpuRaceReport:
                 f"{'write' if self.second.is_write else 'read'}")
 
 
-class BlockFootprint:
-    """Global-memory footprint of one (or more) blocks' execution.
-
-    The parallel block executor records every global read/write (atomics
-    count as writes: their returned old value makes even commutative
-    overlap order-visible) while a chunk of blocks runs in a forked
-    worker, then verifies pairwise disjointness across chunks with
-    :func:`footprints_disjoint` before accepting the parallel result.
-    Indices are flat element indices, the same coordinates the race
-    detector uses.
-    """
-
-    __slots__ = ("reads", "writes")
-
-    def __init__(self) -> None:
-        self.reads: dict[str, set[int]] = {}
-        self.writes: dict[str, set[int]] = {}
-
-    def read(self, var: str, idx: int) -> None:
-        """Record a read of ``var[idx]``."""
-        self.reads.setdefault(var, set()).add(idx)
-
-    def write(self, var: str, idx: int) -> None:
-        """Record a write (or atomic) to ``var[idx]``."""
-        self.writes.setdefault(var, set()).add(idx)
-
-    def record_pass(self, requests, shared) -> None:
-        """Record one warp pass's gathered requests.
-
-        ``shared`` is the block's shared-memory namespace: atomics on a
-        shared variable never touch global memory and are skipped, the
-        same space rule :meth:`Cuda._execute_atomics` applies.
-        """
-        from repro.cuda import requests as rq
-        for request in requests:
-            if isinstance(request, rq.GlobalRead):
-                self.reads.setdefault(request.var, set()).add(request.idx)
-            elif isinstance(request, rq.GlobalWrite):
-                self.writes.setdefault(request.var, set()).add(request.idx)
-            elif isinstance(request, rq.AtomicRmw) \
-                    and request.var not in shared:
-                self.writes.setdefault(request.var, set()).add(request.idx)
-
-
-_EMPTY_SET: frozenset = frozenset()
-
-
-def footprints_disjoint(footprints: list[BlockFootprint]) -> bool:
-    """True when no footprint's writes overlap another's reads or writes.
-
-    This is the safety rule for executing block chunks in parallel from
-    snapshots of pre-launch memory: if chunk *i* never writes what chunk
-    *j* reads or writes (in either direction), neither chunk can observe
-    the other's effects, so running them from the same snapshot and
-    merging written ranges afterwards is bit-identical to the serial
-    schedule.  Overlapping atomics are rejected too — they commute on
-    memory, but their *returned* old values depend on global order.
-    """
-    for i in range(len(footprints)):
-        for j in range(i + 1, len(footprints)):
-            a, b = footprints[i], footprints[j]
-            for var, writes in a.writes.items():
-                if not writes.isdisjoint(b.writes.get(var, _EMPTY_SET)) \
-                        or not writes.isdisjoint(b.reads.get(var,
-                                                             _EMPTY_SET)):
-                    return False
-            for var, writes in b.writes.items():
-                if not writes.isdisjoint(a.reads.get(var, _EMPTY_SET)):
-                    return False
-    return True
-
-
 def _conflicts(a: GpuAccess, b: GpuAccess) -> bool:
     if not (a.is_write or b.is_write):
         return False

@@ -6,9 +6,8 @@ the request), ``span_id`` (the caller's position in the tree), and
 free-form string ``baggage``.  The service front-end mints one per
 traced ``/measure`` submission (or accepts the client's via the
 ``"trace"`` request field), carries it through the daemon thread with
-:func:`use_context`, ships it inside worker job frames and persistent
-pool plan/job frames, and restores it on the far side with
-:func:`TraceContext.from_wire`.
+:func:`use_context`, ships it inside worker job frames, and restores it
+on the far side with :func:`TraceContext.from_wire`.
 
 Processes don't share a recorder, so remote spans travel as plain
 record dicts: a forked worker runs its measurement under a private
@@ -138,7 +137,7 @@ def span_records(recorder, ctx: TraceContext, role: str) -> list[dict]:
     """The recorder's completed spans as shippable remote records.
 
     Each record is stamped with the trace id, a ``role`` (which process
-    kind produced it: ``"worker"``, ``"pool"``, ``"daemon"``, …) and
+    kind produced it: ``"worker"``, ``"daemon"``, …) and
     the producing ``pid``, so the stitched view can group tracks by
     origin.  Records already stamped (nested remote spans a worker
     itself stitched in) keep their original role/pid.

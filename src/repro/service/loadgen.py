@@ -333,7 +333,7 @@ class LoadGenerator:
             roles = set(trace_roles(spans))
             names = {record.get("name") for record in spans}
             if "daemon" in roles and \
-                    (roles & {"worker", "daemon-inline", "pool"}) and \
+                    (roles & {"worker", "daemon-inline"}) and \
                     any(str(name).startswith("engine.")
                         for name in names):
                 stitched += 1

@@ -79,16 +79,11 @@ def gpu_block_prefix_sum(device: GpuDevice,
 
 
 def gpu_segmented_prefix_sum(device: GpuDevice, data: np.ndarray,
-                             block_threads: int = 64,
-                             block_jobs: int = 1) -> ScanOutcome:
+                             block_threads: int = 64) -> ScanOutcome:
     """Per-block inclusive scans over disjoint segments of ``data``.
 
     Each block scans its own ``block_threads``-sized segment — the first
-    phase of a grid-wide scan.  Blocks touch global memory only through
-    disjoint index ranges, so the launch is eligible for the parallel
-    block executor: pass ``block_jobs > 1`` to fan blocks out over
-    workers (the result is byte-identical to the serial schedule either
-    way).
+    phase of a grid-wide scan.
 
     Raises:
         ConfigurationError: for empty input or a bad block size.
@@ -130,8 +125,7 @@ def gpu_segmented_prefix_sum(device: GpuDevice, data: np.ndarray,
     result = cuda.launch(
         kernel, LaunchConfig(grid, block_threads),
         globals_={"data": data.astype(np.int64), "out": out},
-        shared_decls={"buf": (block_threads, np.dtype(np.int64))},
-        block_jobs=block_jobs)
+        shared_decls={"buf": (block_threads, np.dtype(np.int64))})
     expected = np.concatenate([
         np.cumsum(data.astype(np.int64)[s:s + block_threads])
         for s in range(0, n, block_threads)])

@@ -254,9 +254,8 @@ def _gen_mg_ops(rng):
 
 
 def _make_mg_kernel(program):
-    """Build a closure kernel replaying one multi-device descriptor
-    list.  One closure per program: the replay tier keys on the kernel
-    function object, so reference and fast instances must share it."""
+    """Build a closure kernel running one multi-device descriptor
+    list."""
     from repro.compiler.ops import Scope
 
     def kernel(t):
@@ -313,9 +312,10 @@ def _run_mg(runtime, kernel, grid, block, n_total):
 
 @pytest.mark.parametrize("seed", range(N_MG_PROGRAMS))
 def test_multigpu_replay_matches_reference(mini_gpu, seed):
-    """Cooperative/system-scope programs must be byte-identical between
-    the reference run and the replay tier, cold and warm, with the
-    replay provably engaged (``multigpu.replay_hit`` tripwire)."""
+    """Cooperative/system-scope programs launched twice on one runtime
+    (dispatch forced) must be byte-identical to a fresh runtime with
+    dispatch disabled, and the relaunch must run every round itself
+    (``multigpu.rounds`` tripwire: no memo may answer it)."""
     from repro.cuda.multigpu import MultiCuda
     from repro.gpu.multi import MultiGpu
 
@@ -328,15 +328,17 @@ def test_multigpu_replay_matches_reference(mini_gpu, seed):
     kernel = _make_mg_kernel(program)
     multi = MultiGpu(mini_gpu)
 
-    ref = _run_mg(MultiCuda(multi, n_devices=n_devices, fast=False),
-                  kernel, grid, block, n_total)
-    fast_runtime = MultiCuda(multi, n_devices=n_devices, fast=True)
+    runtime = MultiCuda(multi, n_devices=n_devices)
     with dispatch_forced():
-        cold = _run_mg(fast_runtime, kernel, grid, block, n_total)
-        hits = counter_value("multigpu.replay_hit")
-        warm = _run_mg(fast_runtime, kernel, grid, block, n_total)
-    assert counter_value("multigpu.replay_hit") > hits, \
-        f"seed {seed}: identical relaunch did not replay"
+        cold = _run_mg(runtime, kernel, grid, block, n_total)
+        rounds = counter_value("multigpu.rounds")
+        warm = _run_mg(runtime, kernel, grid, block, n_total)
+    assert counter_value("multigpu.rounds") - rounds \
+        == warm.stats.rounds > 0, \
+        f"seed {seed}: relaunch did not run its rounds"
+    with dispatch_disabled():
+        ref = _run_mg(MultiCuda(multi, n_devices=n_devices), kernel, grid,
+                      block, n_total)
     for label, result in (("cold", cold), ("warm", warm)):
         assert result.elapsed_cycles == ref.elapsed_cycles, \
             f"seed {seed} ({label})"

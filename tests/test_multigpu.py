@@ -4,10 +4,13 @@ Covers the three layers the multi-device scenario family stands on:
 the :class:`InterconnectModel` cost primitives, the :class:`MultiGpu`
 machine's pricing/noise contract, and the :class:`MultiCuda` runtime's
 memory model — buffered system writes, relaxed system-scope atomics,
-publish points, cooperative barriers, and the replay tier.
+publish points, cooperative barriers, and relaunch invalidation.
 """
 
 from __future__ import annotations
+
+import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -27,7 +30,6 @@ from repro.gpu.interconnect import (
 )
 from repro.gpu.multi import MultiGpu
 from repro.gpu.spec import LaunchConfig
-from repro.obs.metrics import counter_value
 
 LAUNCH = LaunchConfig(4, 64)
 
@@ -252,41 +254,71 @@ class TestMultiCudaSemantics:
                 kernel, LaunchConfig(1, 1), system={})
 
 
-def _replay_kernel(t):
-    """Shared across launches: the replay tier keys on the function."""
-    v = yield t.atomic_add("acc", 0, t.system_id, scope=Scope.SYSTEM)
+#: Read by :func:`_global_kernel` at launch time; flipped between
+#: launches by :class:`TestMultiCudaInvalidation`.
+K = 1
+
+
+def _global_kernel(t):
+    v = yield t.atomic_add("acc", 0, K, scope=Scope.SYSTEM)
     yield t.system_write("out", t.system_id, v)
 
 
-class TestMultiCudaReplay:
-    def _launch(self, runtime):
-        system = {"acc": np.zeros(1, np.int64),
-                  "out": np.zeros(4, np.int64)}
-        result = runtime.launch(_replay_kernel, LaunchConfig(1, 2),
-                                system=system)
-        return result, system
+def _linked_kernel(t):
+    """Link-priced: a system atomic, a system fence, and a multi-grid
+    barrier all cost more over PCIe than over NVLink."""
+    v = yield t.atomic_add("acc", 0, 1, scope=Scope.SYSTEM)
+    yield t.system_write("out", t.system_id, v)
+    yield t.threadfence(Scope.SYSTEM)
+    yield t.multi_grid_sync()
+    w = yield t.system_read("out", (t.system_id + 1) % t.system_threads)
+    yield t.system_write("out", t.system_id, v + w)
 
-    def test_replay_hit_is_byte_identical(self, multi):
-        runtime = MultiCuda(multi, n_devices=2)
-        with dispatch_forced():
-            cold, cold_sys = self._launch(runtime)
-            hits = counter_value("multigpu.replay_hit")
-            warm, warm_sys = self._launch(runtime)
-        assert counter_value("multigpu.replay_hit") == hits + 1
-        assert warm.elapsed_cycles == cold.elapsed_cycles
-        assert vars(warm.stats) == vars(cold.stats)
-        for name in cold_sys:
-            assert warm_sys[name].tobytes() == cold_sys[name].tobytes()
 
-    def test_dispatch_off_disables_replay(self, multi):
+def _run(runtime, kernel):
+    system = {"acc": np.zeros(1, np.int64), "out": np.zeros(4, np.int64)}
+    return runtime.launch(kernel, LaunchConfig(1, 2), system=system)
+
+
+def _assert_same_launch(got, want):
+    assert got.elapsed_cycles == want.elapsed_cycles
+    assert got.device_cycles == want.device_cycles
+    assert vars(got.stats) == vars(want.stats)
+    for name in want.system:
+        assert got.system[name].tobytes() == want.system[name].tobytes()
+
+
+@pytest.mark.parametrize("mode", [nullcontext, dispatch_forced],
+                         ids=["default", "forced"])
+class TestMultiCudaInvalidation:
+    """A relaunch on the same runtime sees every input that changed
+    since the last launch: module globals and the machine itself."""
+
+    def test_global_flip_matches_reference(self, multi, monkeypatch,
+                                           mode):
+        monkeypatch.setattr(sys.modules[__name__], "K", 1)
         runtime = MultiCuda(multi, n_devices=2)
+        with mode():
+            _run(runtime, _global_kernel)
+            monkeypatch.setattr(sys.modules[__name__], "K", 5)
+            got = _run(runtime, _global_kernel)
         with dispatch_disabled():
-            self._launch(runtime)
-            hits = counter_value("multigpu.replay_hit")
-            misses = counter_value("multigpu.replay_miss")
-            self._launch(runtime)
-        assert counter_value("multigpu.replay_hit") == hits
-        assert counter_value("multigpu.replay_miss") == misses
+            want = _run(MultiCuda(multi, n_devices=2), _global_kernel)
+        assert got.system["acc"][0] == want.system["acc"][0] == 20
+        _assert_same_launch(got, want)
+
+    def test_interconnect_swap_matches_reference(self, mini_gpu, mode):
+        multi = MultiGpu(mini_gpu, NVLINK3)
+        runtime = MultiCuda(multi, n_devices=2)
+        with mode():
+            nvlink = _run(runtime, _linked_kernel)
+            multi.interconnect = PCIE4
+            got = _run(runtime, _linked_kernel)
+        with dispatch_disabled():
+            want = _run(MultiCuda(MultiGpu(mini_gpu, PCIE4), n_devices=2),
+                        _linked_kernel)
+        assert got.elapsed_cycles > nvlink.elapsed_cycles
+        _assert_same_launch(got, want)
 
 
 class TestMultiGpuWorkloads:

@@ -158,24 +158,24 @@ class TestTracedExecution:
         assert current_context() is None
 
     def test_span_records_keep_nested_remote_stamps(self):
-        # A worker that itself stitched in pool spans must not restamp
+        # A worker that itself stitched in remote spans must not restamp
         # them with its own role/pid when shipping the batch upward.
         rec = Recorder()
         with recording(rec):
             with span("local.work"):
                 pass
         rec.add_remote_spans([
-            {"type": "span", "sid": 1, "parent": None, "name": "pool.op",
-             "t0": 0.0, "t1": 0.1, "role": "pool", "pid": 999,
-             "trace_id": "t-pool"}])
+            {"type": "span", "sid": 1, "parent": None, "name": "remote.op",
+             "t0": 0.0, "t1": 0.1, "role": "nested", "pid": 999,
+             "trace_id": "t-nested"}])
         ctx = TraceContext.new()
         records = span_records(rec, ctx, "worker")
         by_name = {r["name"]: r for r in records}
         assert by_name["local.work"]["role"] == "worker"
         assert by_name["local.work"]["trace_id"] == ctx.trace_id
-        assert by_name["pool.op"]["role"] == "pool"
-        assert by_name["pool.op"]["pid"] == 999
-        assert by_name["pool.op"]["trace_id"] == "t-pool"
+        assert by_name["remote.op"]["role"] == "nested"
+        assert by_name["remote.op"]["pid"] == 999
+        assert by_name["remote.op"]["trace_id"] == "t-nested"
 
 
 class TestAddRemoteSpans:
