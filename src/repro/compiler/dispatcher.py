@@ -4,7 +4,9 @@ The paper's characterization sweeps re-launch the same interpreted
 kernels thousands of times per (primitive, contention, machine) point,
 so per-launch interpretation cost dominates.  This module memoizes work
 per **signature** — (kernel identity, machine fingerprint, launch
-config, memory contents) — the way a JIT dispatcher memoizes a
+config, memory contents; for an OpenMP region the config is the team
+size, affinity, consistency model and whether the race detector
+runs) — the way a JIT dispatcher memoizes a
 specialized callable per type signature:
 
 * **Replay tier**: the first successful launch of a signature records
@@ -20,7 +22,9 @@ specialized callable per type signature:
   of data — proven dynamically by symbolic capture), a
   :class:`~repro.compiler.lift.BlockPlan` list (CUDA) or
   :class:`~repro.compiler.lift.RegionPlan` (OpenMP) executes fresh data
-  with precompiled effects, no generators.  Plans are keyed by a
+  with precompiled effects, no generators.  Capture runs no race
+  detector, so race-detecting OpenMP regions skip this tier and go
+  from replay straight to the fast scheduler.  Plans are keyed by a
   **shape digest** — kernel signature (globals included), launch
   config, machine fingerprint, array names/dtypes/shapes, but *not*
   element content — so a sweep re-launching the same structure over
@@ -557,7 +561,12 @@ class Dispatcher:
     # ------------------------------ OpenMP ---------------------------- #
 
     def begin_omp(self, omp, body, shared):
-        """Key one OpenMP parallel region; returns a ticket or None."""
+        """Key one OpenMP parallel region; returns a ticket or None.
+
+        The key covers the body signature, team size, affinity,
+        consistency model, ``detect_races``, machine fingerprint and
+        memory contents.
+        """
         mode = dispatch_mode()
         if mode == "off":
             return None
@@ -580,9 +589,13 @@ class Dispatcher:
             _C_FALLBACK.add(1)
             return None
         static, content, pre = digested
+        # An entry recorded without the detector may hide a race, so it
+        # must never serve a detecting region.  A detecting entry is
+        # always race-free: ``record`` refuses races, and a raising run
+        # never records.
         plan_key = _shape_digest(
             ("omp-plan", bsig, omp.n_threads, omp.affinity,
-             omp.relaxed_consistency, fp, static))
+             omp.relaxed_consistency, omp.detect_races, fp, static))
         key = (plan_key, content)
         return _OmpTicket(self, omp, body, shared_map, key, plan_key, pre)
 

@@ -22,15 +22,20 @@ overhead:
   flat views and dtype lookups — instead of the per-request machinery.
 * **Hoisted observability.**  The trace check is resolved once per
   region into the cost-charging closure, so ``trace=False`` costs
-  nothing per request.  Race detection needs to observe every access, so
-  :meth:`OpenMP.parallel` routes detector-enabled regions to the
-  reference scheduler before this module is ever involved.
+  nothing per request.  The race detector, when the runtime has one,
+  sees every access: each uniform handler records it at the point
+  where the reference does (after validation and contention
+  classification, before the cost is charged), inline requests pass
+  the detector to :meth:`OpenMP._execute`, and a completed
+  ``single``/barrier feeds it in the reference's order — so the same
+  races are collected, or the same first race is raised.
 
 Mixed rounds, lock traffic, barriers/singles/criticals, and every error
 case run through the same logic as the reference sweep (partly by
 calling :meth:`OpenMP._execute` itself), so results — memory, clocks,
 elapsed time, barrier/request counts, trace events, and error messages —
-are identical.  ``tests/test_interpreter_fastpath.py`` pins that down.
+are identical.  ``tests/test_interpreter_fastpath.py`` and the
+differential fuzz suite pin that down, race reports included.
 
 The public ``interp.omp.uniform_rounds`` counter (:mod:`repro.obs`)
 lets the bench suite and CI smoke checks assert the batched dispatcher
@@ -51,6 +56,7 @@ from repro.compiler.ops import Op, PrimitiveKind
 from repro.mem.layout import PrivateArrayElement, SharedScalar
 from repro.openmp import requests as rq
 from repro.openmp.interpreter import ParallelResult, ThreadContext
+from repro.openmp.race import AccessKind, RaceDetector
 from repro.openmp.trace import CpuTrace
 from repro.obs.metrics import _SUBSCRIBER as _metric_subscriber
 from repro.obs.metrics import counter as _counter
@@ -121,9 +127,10 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
     """Run a parallel region with batched uniform-round dispatch.
 
     Mirrors :meth:`OpenMP._parallel_reference` exactly — same memory
-    effects, clocks, counters, trace, and errors.  Only called with race
-    detection off (the dispatcher in :meth:`OpenMP.parallel` guarantees
-    it).
+    effects, clocks, counters, trace, race reports, and errors (a
+    raised :class:`~repro.common.errors.DataRaceError` included).
+    Builds the runtime's race detector when ``omp.detect_races`` is set,
+    collecting instead of raising under ``omp.collect_races``.
     """
     global UNIFORM_ROUNDS
     machine = omp.machine
@@ -133,6 +140,10 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
 
     memory: dict[str, np.ndarray] = dict(shared or {})
     trace_obj = CpuTrace() if trace else None
+    detector = RaceDetector(raise_on_race=not omp.collect_races) \
+        if omp.detect_races else None
+    # Bound once: the uniform handlers test it per access.
+    record = detector.record if detector is not None else None
     contexts = [ThreadContext(tid, n) for tid in range(n)]
     gens = [body(tc) for tc in contexts]
     sends = [g.send for g in gens]
@@ -240,12 +251,21 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
     ATOMIC_WRITE = PrimitiveKind.OMP_ATOMIC_WRITE
     ATOMIC_UPDATE = PrimitiveKind.OMP_ATOMIC_UPDATE
     ATOMIC_CAPTURE = PrimitiveKind.OMP_ATOMIC_CAPTURE
+    PLAIN_READ_ACCESS = AccessKind.PLAIN_READ
+    PLAIN_WRITE_ACCESS = AccessKind.PLAIN_WRITE
+    LOCKED_READ_ACCESS = AccessKind.LOCKED_READ
+    LOCKED_WRITE_ACCESS = AccessKind.LOCKED_WRITE
+    ATOMIC_READ_ACCESS = AccessKind.ATOMIC_READ
+    ATOMIC_WRITE_ACCESS = AccessKind.ATOMIC_WRITE
 
     def u_read(tids, reqs):
         for tid, r in zip(tids, reqs):
             var, idx = r.var, r.idx
             flat = validate(tid, var, idx)
             contended = classify(var, idx, tid)
+            if record is not None:
+                record(tid, var, idx, LOCKED_READ_ACCESS if held_locks[tid]
+                       else PLAIN_READ_ACCESS)
             charge_cost(tid, mem_cost(PLAIN_READ, var_dtype(var),
                                       contended), PLAIN_READ)
             if relaxed:
@@ -260,6 +280,9 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             var, idx = r.var, r.idx
             flat = validate(tid, var, idx)
             contended = classify(var, idx, tid)
+            if record is not None:
+                record(tid, var, idx, LOCKED_WRITE_ACCESS if held_locks[tid]
+                       else PLAIN_WRITE_ACCESS)
             charge_cost(tid, mem_cost(PLAIN_UPDATE, var_dtype(var),
                                       contended), PLAIN_UPDATE)
             if relaxed:
@@ -275,6 +298,8 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             flat = validate(tid, var, idx)
             dtype = r.dtype if r.dtype is not None else var_dtype(var)
             contended = classify(var, idx, tid)
+            if record is not None:
+                record(tid, var, idx, ATOMIC_READ_ACCESS)
             charge_cost(tid, mem_cost(ATOMIC_READ, dtype, contended),
                         ATOMIC_READ)
             pending[tid] = flat[idx].item()
@@ -287,6 +312,8 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             flat = validate(tid, var, idx)
             dtype = r.dtype if r.dtype is not None else var_dtype(var)
             contended = classify(var, idx, tid)
+            if record is not None:
+                record(tid, var, idx, ATOMIC_WRITE_ACCESS)
             charge_cost(tid, mem_cost(ATOMIC_WRITE, dtype, contended),
                         ATOMIC_WRITE)
             flat[idx] = r.value
@@ -299,6 +326,8 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             flat = validate(tid, var, idx)
             dtype = r.dtype if r.dtype is not None else var_dtype(var)
             contended = classify(var, idx, tid)
+            if record is not None:
+                record(tid, var, idx, ATOMIC_WRITE_ACCESS)
             charge_cost(tid, mem_cost(ATOMIC_UPDATE, dtype, contended),
                         ATOMIC_UPDATE)
             flat[idx] = r.func(flat[idx].item())
@@ -311,6 +340,8 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             flat = validate(tid, var, idx)
             dtype = r.dtype if r.dtype is not None else var_dtype(var)
             contended = classify(var, idx, tid)
+            if record is not None:
+                record(tid, var, idx, ATOMIC_WRITE_ACCESS)
             charge_cost(tid, mem_cost(ATOMIC_CAPTURE, dtype, contended),
                         ATOMIC_CAPTURE)
             old = flat[idx].item()
@@ -352,6 +383,11 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             executor = min(t for t in range(n) if not done[t])
             request = single_requests[executor]
             assert request is not None
+            if record is not None:
+                for var, idx, is_write in request.touches:
+                    record(executor, var, idx,
+                           LOCKED_WRITE_ACCESS if is_write
+                           else LOCKED_READ_ACCESS)
             pending[executor] = request.func(memory)
         barrier_cost = plain_cost(PrimitiveKind.OMP_BARRIER)
         arrive_time = max(clocks)
@@ -364,6 +400,8 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             clocks[t] = sync_time
             arrival[t] = None
             single_requests[t] = None
+        if detector is not None:
+            detector.barrier()
         location_threads.clear()
 
     def handle_inline(tid: int, request) -> None:
@@ -410,7 +448,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             drain(tid)
         buffer = store_buffers[tid] if relaxed else None
         pending[tid] = omp._execute(
-            request, tid, memory, None, location_threads, charge_op,
+            request, tid, memory, detector, location_threads, charge_op,
             locked=bool(held_locks[tid]), buffer=buffer)
 
     def finish(tid: int) -> None:
@@ -540,7 +578,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
         memory=memory,
         thread_times_ns=clocks,
         elapsed_ns=elapsed,
-        races=[],
+        races=list(detector.races) if detector is not None else [],
         barriers=barriers,
         requests=budget.used,
         trace=trace_obj,

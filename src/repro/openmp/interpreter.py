@@ -169,8 +169,8 @@ class OpenMP:
         max_steps: Interpreter step budget (guards against runaway bodies).
         fast: Force the batched fast scheduler on/off; ``None`` follows
             the process default (fast unless ``SYNCPERF_ENGINE=reference``
-            or inside :func:`repro.core.engine.reference_engine`).  Race
-            detection always runs on the reference scheduler.
+            or inside :func:`repro.core.engine.reference_engine`).  Both
+            schedulers run the race detector and report the same races.
         lint: Opt-in static sanitizer check before each region.
             ``True`` or ``"error"`` raises
             :class:`~repro.common.errors.SanitizerError` when
@@ -211,10 +211,12 @@ class OpenMP:
                  trace: bool = False) -> ParallelResult:
         """Run ``body`` on every thread of the team to completion.
 
-        Dispatches to the batched fast scheduler
-        (:func:`repro.openmp.fastpath.parallel_fast`) when ``fast`` is
-        enabled and no race detector is active; the scalar reference
-        scheduler below is authoritative and produces identical results.
+        With ``fast`` enabled the region goes to the dispatcher's content
+        replay, then to the batched fast scheduler
+        (:func:`repro.openmp.fastpath.parallel_fast`), which feeds the
+        race detector when one is active; the scalar reference scheduler
+        below is authoritative and produces identical results, races
+        included.
 
         Args:
             body: Generator function over a :class:`ThreadContext`.
@@ -231,9 +233,8 @@ class OpenMP:
             from repro.sanitize import lint_kernel
             lint_kernel(body, "openmp", self.lint)
         with obs_span("omp.parallel", n_threads=self.n_threads,
-                      path="fast" if self.fast and not self.detect_races
-                      else "reference"):
-            if self.fast and not self.detect_races:
+                      path="fast" if self.fast else "reference"):
+            if self.fast:
                 # The dispatcher memoizes whole regions per (body,
                 # machine, config, memory-contents) signature; replay
                 # hits skip the scheduler entirely.  Identical replay
@@ -244,10 +245,12 @@ class OpenMP:
                     from repro.compiler.dispatcher import DISPATCHER
                     ticket = DISPATCHER.begin_omp(self, body, shared)
                 result = ticket.replay() if ticket is not None else None
-                if result is None and ticket is not None:
+                if result is None and ticket is not None \
+                        and not self.detect_races:
                     # Lifted tier: replay a shape-keyed compiled region
                     # plan against the fresh contents (tier 0 misses on
                     # any new input; the plan only needs the structure).
+                    # Detecting regions skip it: capture runs no detector.
                     result = ticket.run_lifted()
                 if result is None:
                     from repro.openmp.fastpath import parallel_fast

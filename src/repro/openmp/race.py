@@ -79,6 +79,15 @@ def _conflicts(a: AccessKind, b: AccessKind) -> bool:
     return True
 
 
+#: For each access kind, the earlier kinds it races with (from another
+#: thread), built once from :func:`_conflicts`.  A tuple: membership is
+#: an identity scan, with no per-entry enum hashing or property calls.
+_CONFLICTS_WITH: dict[AccessKind, tuple[AccessKind, ...]] = {
+    kind: tuple(prev for prev in AccessKind if _conflicts(prev, kind))
+    for kind in AccessKind
+}
+
+
 @dataclass
 class RaceDetector:
     """Epoch-based race detector.
@@ -97,9 +106,13 @@ class RaceDetector:
     def record(self, tid: int, var: str, idx: int, kind: AccessKind) -> None:
         """Record one access and check it against this epoch's history."""
         key = (var, idx)
-        history = self._accesses.setdefault(key, [])
+        history = self._accesses.get(key)
+        if history is None:
+            self._accesses[key] = [(tid, kind)]
+            return
+        conflicting = _CONFLICTS_WITH[kind]
         for prev_tid, prev_kind in history:
-            if prev_tid != tid and _conflicts(prev_kind, kind):
+            if prev_tid != tid and prev_kind in conflicting:
                 report = RaceReport(var=var, idx=idx,
                                     first=(prev_tid, prev_kind),
                                     second=(tid, kind), epoch=self._epoch)
@@ -108,8 +121,9 @@ class RaceDetector:
                 self.races.append(report)
                 break
         # Deduplicate: one entry per (thread, kind) pair per location.
-        if (tid, kind) not in history:
-            history.append((tid, kind))
+        entry = (tid, kind)
+        if entry not in history:
+            history.append(entry)
 
     def barrier(self) -> None:
         """A barrier happened: all prior accesses are ordered before all

@@ -59,9 +59,10 @@ def cpu_histogram(machine: CpuMachine, data: np.ndarray, n_bins: int,
     """Histogram ``data`` (ints in [0, n_bins)) on the OpenMP layer.
 
     Args:
-        detect_races: Run the race detector (the default).  Turning it
-            off lets the interpreter use its batched fast scheduler —
-            the benchmark suite does this to time the workload.
+        detect_races: Run the race detector (the default).  The batched
+            fast scheduler runs either way; turning detection off only
+            drops the detector's bookkeeping (the benchmark suite does
+            this to time the scheduler alone).
     """
     if strategy not in ("atomic", "privatized"):
         raise ConfigurationError(f"unknown CPU strategy {strategy!r}")

@@ -140,9 +140,10 @@ def cpu_prefix_sum(machine: CpuMachine, data: np.ndarray,
     """Two-level inclusive scan on the OpenMP layer.
 
     Args:
-        detect_races: Run the race detector (the default).  Turning it
-            off lets the interpreter use its batched fast scheduler —
-            the benchmark suite does this to time the workload.
+        detect_races: Run the race detector (the default).  The batched
+            fast scheduler runs either way; turning detection off only
+            drops the detector's bookkeeping (the benchmark suite does
+            this to time the scheduler alone).
     """
     n = int(data.size)
     per_thread = -(-n // n_threads) if n else 1

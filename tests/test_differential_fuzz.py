@@ -25,6 +25,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from repro.common.errors import DataRaceError
 from repro.compiler.dispatcher import (
     DISPATCHER, dispatch_disabled, dispatch_forced,
 )
@@ -488,6 +489,190 @@ def test_openmp_dispatcher_forced_matches_reference(quiet_cpu, seed):
             assert result.memory[name].tobytes() == \
                 ref.memory[name].tobytes(), \
                 f"seed {seed} ({label}): {name}"
+
+
+# ------------------- OpenMP race-detection programs ------------------ #
+
+_RACE_OPS = ("read", "read", "write", "write", "atomic_update",
+             "atomic_read", "flush", "barrier", "critical", "lock",
+             "single")
+#: Index modes for plain accesses: thread-private, a constant shared by
+#: every thread, a neighbour's slot, or (``master``) only thread 0.
+_RACE_MODES = ("tid", "tid", "const", "shift", "master")
+
+
+def _gen_omp_race_ops(rng):
+    """A well-formed program whose plain reads and writes share indices
+    across threads, so many seeds race (unlike :func:`_gen_omp_ops`,
+    which keeps plain writes thread-private).  Barriers and singles stay
+    at top level and locks are nested pairs on one name, so every
+    program terminates; only its data-race verdict varies."""
+    ops = []
+    for _ in range(rng.randint(3, 9)):
+        kind = rng.choice(_RACE_OPS)
+        if kind in ("read", "write"):
+            ops.append((kind, rng.choice(("a", "b")),
+                        rng.choice(_RACE_MODES), rng.randint(0, 3)))
+        elif kind in ("atomic_update", "atomic_read"):
+            # Atomics on the plain arrays: atomic-vs-plain pairs race.
+            ops.append((kind, rng.choice(("a", "acc")), rng.randint(0, 3)))
+        elif kind == "critical":
+            ops.append((kind, rng.choice(("a", "c")), rng.randint(0, 3)))
+        elif kind == "single":
+            ops.append((kind, rng.choice(("a", "b", "c")),
+                        rng.randint(0, 3), rng.random() < 0.5))
+        elif kind == "lock":
+            inner = [(rng.choice(("read", "write")), rng.choice(("a", "b")),
+                      rng.choice(_RACE_MODES), rng.randint(0, 3))
+                     for _ in range(rng.randint(1, 3))]
+            ops.append(("lock", inner))
+        else:
+            ops.append((kind,))
+    return ops
+
+
+def _race_index(tc, mode, k):
+    if mode == "const":
+        return k
+    if mode == "shift":
+        return (tc.tid + k) % tc.n_threads
+    return tc.tid
+
+
+def _make_omp_race_body(program):
+    def bump(var, k):
+        def func(mem):
+            flat = mem[var].reshape(-1)
+            flat[k] = flat[k] + 1
+        return func
+
+    def run_op(tc, op, acc):
+        kind = op[0]
+        if kind in ("read", "write"):
+            _, var, mode, k = op
+            if mode == "master" and tc.tid != 0:
+                return
+            idx = _race_index(tc, mode, k)
+            if kind == "read":
+                v = yield tc.read(var, idx)
+                acc[0] = (acc[0] + int(v)) % 1009
+            else:
+                yield tc.write(var, idx, acc[0] + k)
+        elif kind == "atomic_update":
+            _, var, k = op
+            yield tc.atomic_update(var, k, lambda v: v + 1)
+        elif kind == "atomic_read":
+            _, var, k = op
+            v = yield tc.atomic_read(var, k)
+            acc[0] = (acc[0] + int(v)) % 1009
+        elif kind == "critical":
+            _, var, k = op
+            yield tc.critical(bump(var, k), touches=((var, k, True),))
+        elif kind == "single":
+            _, var, k, is_write = op
+            yield tc.single(bump(var, k) if is_write else (lambda mem: 0),
+                            touches=((var, k, is_write),))
+        elif kind == "lock":
+            yield tc.lock_acquire("l")
+            for sub in op[1]:
+                yield from run_op(tc, sub, acc)
+            yield tc.lock_release("l")
+        elif kind == "flush":
+            yield tc.flush()
+        else:
+            yield tc.barrier()
+
+    def body(tc):
+        acc = [tc.tid + 1]
+        for op in program:
+            yield from run_op(tc, op, acc)
+        yield tc.atomic_write("out", tc.tid, acc[0])
+
+    return body
+
+
+def _race_shared(n_threads):
+    return {"a": np.arange(8, dtype=np.int64),
+            "b": (np.arange(8, dtype=np.int64) * 5) % 13,
+            "acc": np.zeros(4, np.int64),
+            "c": np.zeros(4, np.int64),
+            "out": np.zeros(n_threads, np.int64)}
+
+
+def _race_case(seed):
+    rng = random.Random(11000 + seed)
+    program = _gen_omp_race_ops(rng)
+    return (_make_omp_race_body(program), rng.choice((2, 4)),
+            rng.random() < 0.75)
+
+
+def _run_race(machine, case, fast, collect):
+    """One region; returns ``(result or None, DataRaceError message or
+    None, shared memory bytes)``.  The memory is read even after a
+    raise: both schedulers must leave the same partial state."""
+    body, n_threads, relaxed = case
+    shared = _race_shared(n_threads)
+    omp = OpenMP(machine, n_threads=n_threads, collect_races=collect,
+                 relaxed_consistency=relaxed, fast=fast)
+    try:
+        result, error = omp.parallel(body, shared), None
+    except DataRaceError as exc:
+        result, error = None, str(exc)
+    return result, error, {name: arr.tobytes()
+                           for name, arr in shared.items()}
+
+
+def _assert_results_equal(got, ref, label):
+    assert got.races == ref.races, label
+    assert got.elapsed_ns == ref.elapsed_ns, label
+    assert got.thread_times_ns == ref.thread_times_ns, label
+    assert got.barriers == ref.barriers, label
+    assert got.requests == ref.requests, label
+    assert set(got.memory) == set(ref.memory), label
+    for name in ref.memory:
+        assert got.memory[name].tobytes() == ref.memory[name].tobytes(), \
+            f"{label}: {name}"
+
+
+@pytest.mark.parametrize("seed", range(N_PROGRAMS))
+def test_openmp_race_detection_matches_reference(quiet_cpu, seed):
+    """The batched scheduler feeds the detector the reference's access
+    stream: same races in collect mode, same first race (and partial
+    memory) in raise mode, and race-free regions replay identically."""
+    case = _race_case(seed)
+    ref, _, ref_mem = _run_race(quiet_cpu, case, False, collect=True)
+    with dispatch_disabled():
+        fast, _, fast_mem = _run_race(quiet_cpu, case, True, collect=True)
+    _assert_results_equal(fast, ref, f"seed {seed} (collect)")
+    assert fast_mem == ref_mem, f"seed {seed} (collect)"
+
+    _, ref_err, ref_mem = _run_race(quiet_cpu, case, False, collect=False)
+    with dispatch_disabled():
+        _, fast_err, fast_mem = _run_race(quiet_cpu, case, True,
+                                          collect=False)
+    assert fast_err == ref_err, f"seed {seed} (raise)"
+    assert (ref_err is None) == (not ref.races), f"seed {seed}"
+    assert fast_mem == ref_mem, f"seed {seed} (raise)"
+
+    if ref.races:
+        return
+    with dispatch_forced():
+        cold, _, _ = _run_race(quiet_cpu, case, True, collect=False)
+        hits = counter_value("dispatch.hit")
+        warm, _, _ = _run_race(quiet_cpu, case, True, collect=False)
+    assert counter_value("dispatch.hit") > hits, \
+        f"seed {seed}: identical race-free region did not replay"
+    _assert_results_equal(cold, ref, f"seed {seed} (cold)")
+    _assert_results_equal(warm, ref, f"seed {seed} (warm)")
+
+
+def test_openmp_race_corpus_exercises_both_verdicts(quiet_cpu):
+    """The race corpus is not vacuous: at least a quarter of its seeds
+    race, and at least a quarter are race-free (the replay leg)."""
+    racy = sum(bool(_run_race(quiet_cpu, _race_case(seed), False,
+                              collect=True)[0].races)
+               for seed in range(N_PROGRAMS))
+    assert N_PROGRAMS // 4 <= racy <= N_PROGRAMS - N_PROGRAMS // 4, racy
 
 
 # ------------------- OpenMP lifted tier (tier 1) --------------------- #

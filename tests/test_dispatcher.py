@@ -18,7 +18,7 @@ import pytest
 
 import repro.compiler.dispatcher as dmod
 from repro.bench import compare_payloads
-from repro.common.errors import SimulationError
+from repro.common.errors import DataRaceError, SimulationError
 from repro.compiler.dispatcher import (
     DISPATCHER, Dispatcher, dispatch_disabled, dispatch_forced,
     machine_fingerprint,
@@ -431,6 +431,66 @@ class TestOmpReplay:
                detect_races=False).parallel(omp_body, two)
         d = _deltas(before)
         assert d["dispatch.miss"] == 1 and d["dispatch.hit"] == 0
+
+
+def racy_body(tc):
+    # Every thread plain-writes out[0]: a race the detector must see.
+    yield tc.write("out", 0, tc.tid + 1)
+    yield tc.barrier()
+    yield tc.atomic_write("out", tc.tid, tc.tid)
+
+
+class TestOmpRaceDetectingReplay:
+    """Race-detecting regions share the replay tier, and the key keeps
+    detecting and non-detecting entries apart."""
+
+    _shared = TestOmpReplay._shared
+
+    def test_race_free_detecting_region_replays(self, quiet_cpu):
+        DISPATCHER.clear()
+        omp = OpenMP(quiet_cpu, n_threads=4)
+        assert omp.detect_races and omp.fast
+        omp.parallel(omp_body, self._shared())
+        before = _counters("dispatch.hit")
+        warm_shared = self._shared()
+        warm = omp.parallel(omp_body, warm_shared)
+        assert _deltas(before)["dispatch.hit"] == 1
+        ref_shared = self._shared()
+        ref = OpenMP(quiet_cpu, n_threads=4,
+                     fast=False).parallel(omp_body, ref_shared)
+        assert _snapshot(warm_shared) == _snapshot(ref_shared)
+        assert warm.races == ref.races == []
+        assert warm.elapsed_ns == ref.elapsed_ns
+        assert warm.thread_times_ns == ref.thread_times_ns
+        assert warm.barriers == ref.barriers
+        assert warm.requests == ref.requests
+
+    def test_undetected_entry_never_serves_a_detecting_region(
+            self, quiet_cpu):
+        DISPATCHER.clear()
+        with dispatch_forced():
+            OpenMP(quiet_cpu, n_threads=4, detect_races=False).parallel(
+                racy_body, self._shared())
+            # Identical input, so only the key's detect_races bit keeps
+            # the recorded (race-blind) outcome from being replayed.
+            with pytest.raises(DataRaceError, match=r"out\[0\]"):
+                OpenMP(quiet_cpu, n_threads=4).parallel(
+                    racy_body, self._shared())
+
+    def test_racy_collect_region_never_recorded(self, quiet_cpu):
+        DISPATCHER.clear()
+        collect = OpenMP(quiet_cpu, n_threads=4, collect_races=True)
+        ref = OpenMP(quiet_cpu, n_threads=4, collect_races=True,
+                     fast=False).parallel(racy_body, self._shared())
+        assert ref.races
+        with dispatch_forced():
+            OpenMP(quiet_cpu, n_threads=4, detect_races=False).parallel(
+                racy_body, self._shared())
+            before = _counters("dispatch.hit")
+            first = collect.parallel(racy_body, self._shared())
+            rerun = collect.parallel(racy_body, self._shared())
+        assert _deltas(before)["dispatch.hit"] == 0
+        assert first.races == rerun.races == ref.races
 
 
 # --------------------------------------------------------------------- #

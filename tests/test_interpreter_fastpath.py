@@ -21,9 +21,11 @@ import pytest
 import repro.cuda.fastpath as cuda_fastpath
 import repro.openmp.fastpath as omp_fastpath
 from repro.common.errors import SimulationError
+from repro.compiler.dispatcher import dispatch_disabled
 from repro.core.engine import reference_engine
 from repro.cuda.interpreter import Cuda
 from repro.gpu.spec import LaunchConfig
+from repro.obs.metrics import counter_value
 from repro.openmp.interpreter import OpenMP
 from repro.workloads.bfs import gpu_bfs, random_graph
 from repro.workloads.histogram import cpu_histogram, gpu_histogram
@@ -352,16 +354,25 @@ class TestOpenMPEquivalence:
             body, shared={"x": np.zeros(4, np.int64)})
         assert omp_fastpath.UNIFORM_ROUNDS == before
 
-    def test_race_detection_disengages_fast_path(self, quiet_cpu):
-        """A detecting interpreter must stay on the instrumented scalar
-        loop even when the fast default is on."""
+    def test_race_detection_runs_batched(self, quiet_cpu):
+        """A detecting interpreter takes the batched scheduler, which
+        feeds the detector; the scalar loop stays the ``fast=False``
+        oracle."""
         def body(tc):
             yield tc.atomic_write("x", tc.tid, 1)
 
-        before = omp_fastpath.UNIFORM_ROUNDS
-        OpenMP(quiet_cpu, n_threads=4, fast=True).parallel(
-            body, shared={"x": np.zeros(4, np.int64)})
-        assert omp_fastpath.UNIFORM_ROUNDS == before
+        names = ("interp.omp.regions_fast", "interp.omp.uniform_rounds",
+                 "interp.omp.regions_reference")
+        before = {name: counter_value(name) for name in names}
+        with dispatch_disabled():
+            result = OpenMP(quiet_cpu, n_threads=4, fast=True).parallel(
+                body, shared={"x": np.zeros(4, np.int64)})
+        delta = {name: counter_value(name) - before[name]
+                 for name in names}
+        assert delta["interp.omp.regions_fast"] == 1
+        assert delta["interp.omp.uniform_rounds"] > 0
+        assert delta["interp.omp.regions_reference"] == 0
+        assert result.races == []
 
     def test_plain_reads_writes_with_barriers(self, quiet_cpu):
         def body(tc):

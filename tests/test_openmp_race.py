@@ -3,7 +3,9 @@
 import pytest
 
 from repro.common.errors import DataRaceError
-from repro.openmp.race import AccessKind, RaceDetector
+from repro.openmp.race import (
+    _CONFLICTS_WITH, AccessKind, RaceDetector, _conflicts,
+)
 
 
 class TestConflictMatrix:
@@ -58,6 +60,19 @@ class TestConflictMatrix:
         d.record(1, "x", 1, AccessKind.PLAIN_WRITE)
         d.record(1, "y", 0, AccessKind.PLAIN_WRITE)
         assert not d.races
+
+
+@pytest.mark.parametrize("first", list(AccessKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("second", list(AccessKind), ids=lambda k: k.value)
+def test_conflict_table_matches_definition(first, second):
+    """The detector's per-kind table is derived from ``_conflicts``,
+    the single definition, and ``record`` agrees with it."""
+    expected = _conflicts(first, second)
+    assert (first in _CONFLICTS_WITH[second]) == expected
+    d = RaceDetector(raise_on_race=False)
+    d.record(0, "x", 0, first)
+    d.record(1, "x", 0, second)
+    assert bool(d.races) == expected
 
 
 class TestEpochs:
