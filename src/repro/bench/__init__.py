@@ -4,13 +4,9 @@ Times the measurement fast path against the retained scalar reference
 path (:func:`repro.core.engine.reference_engine`) at four granularities
 — the raw protocol kernel, a representative sweep, the kernel
 interpreters (``interp_*`` rows: CUDA/OpenMP workloads under batched
-uniform-pass dispatch and the JIT-style dispatch tiers vs the scalar
-schedulers, and the ``dispatch_*`` dispatcher-tier rows: warm replay
-(``dispatch_replay``), lifted plans on fresh data
-(``dispatch_lifted``/``dispatch_omp_lifted``), shape-keyed plan reuse
-(``dispatch_shape_sweep``), and on-disk plan warm-up
-(``dispatch_disk_warm``)), and a full campaign (serial vs ``jobs=N``)
-— and
+uniform-pass dispatch and the content-replay tier vs the scalar
+schedulers, and the ``dispatch_replay`` row: cold dispatch vs warm
+replay), and a full campaign (serial vs ``jobs=N``) — and
 writes ``BENCH_engine.json`` at the repo root in a stable schema so the
 performance trajectory is tracked across PRs:
 
@@ -168,9 +164,9 @@ def _bench_sweep(bench_id: str, producer: Callable[[], object],
 
 
 #: Counters witnessing that the fast side actually ran fast machinery:
-#: the batched uniform-pass dispatchers plus the JIT-style dispatch
-#: tiers (replay hits and lifted block plans bypass the pass counters).
-_DISPATCH_COUNTERS = ("dispatch.hit", "dispatch.lifted_blocks")
+#: the batched uniform-pass dispatchers plus the content-replay tier
+#: (replay hits bypass the pass counters).
+_DISPATCH_COUNTERS = ("dispatch.hit",)
 
 
 def _bench_interp(bench_id: str, producer: Callable[[], object],
@@ -191,7 +187,7 @@ def _bench_interp(bench_id: str, producer: Callable[[], object],
     if all(counter_value(n) == engaged[n] for n in witnesses):
         raise SimulationError(
             f"{bench_id}: no fast machinery ran on the fast path "
-            f"({counter_name} and dispatch tiers unchanged); refusing "
+            f"({counter_name} and the replay tier unchanged); refusing "
             f"to benchmark")
     engaged = {name: counter_value(name) for name in witnesses}
     with reference_engine():
@@ -301,8 +297,7 @@ def _interp_omp_prefix_sum():
 
 
 def _dispatch_case():
-    """A steady (data-independent control flow) multi-block kernel the
-    dispatcher can both replay and lift."""
+    """A pure multi-block kernel the dispatcher can replay."""
     import numpy as np
     from repro.cuda.interpreter import Cuda
     from repro.gpu.presets import gpu_preset
@@ -339,9 +334,8 @@ def _bench_dispatch_replay(repeats: int) -> dict:
 
     Identical launches hit the dispatcher's replay cache and skip
     execution entirely; the row prices that steady-state win against
-    the cold cost of keying + running + recording the same launch (a
-    cold launch is a first sighting of its shape, so it runs on the
-    batched fast tier and captures no plans).
+    the cold cost of keying + running + recording the same launch on
+    the batched fast tier.
     Both sides must produce identical results and the warm side must
     actually hit (``dispatch.hit`` moving is the engagement witness).
     """
@@ -371,206 +365,6 @@ def _bench_dispatch_replay(repeats: int) -> dict:
             "refusing to benchmark a broken cache")
     return _row("dispatch_replay", _best_of(run_cold, repeats),
                 _best_of(run_warm, repeats))
-
-
-def _bench_dispatch_lifted(repeats: int) -> dict:
-    """Compiled block plans vs the scalar reference on fresh data.
-
-    Every call runs the same steady kernel on content it has never
-    seen, so the replay cache always misses and the dispatcher executes
-    its compiled (lifted) block plans; ``reference_s`` is the scalar
-    reference interpreter on the same data stream.  Byte-identity is
-    checked on a held-out input before timing.
-    """
-    import numpy as np
-    run, n = _dispatch_case()
-    base = np.arange(n, dtype=np.int64)
-    fresh = iter(range(10 ** 9))
-
-    def run_fast():
-        return run((base * 31 + next(fresh)) % 1009)
-
-    def run_reference():
-        with reference_engine():
-            return run((base * 31 + next(fresh)) % 1009)
-
-    probe = (base * 7) % 1009
-    run((base * 5) % 1009)  # first sighting: the probe then captures
-    fast_result = run(probe.copy())
-    with reference_engine():
-        ref_result = run(probe.copy())
-    if fast_result != ref_result:
-        raise SimulationError(
-            "dispatch_lifted: lifted plans diverged from the reference "
-            "interpreter; refusing to benchmark")
-    lifted = counter_value("dispatch.lifted_blocks")
-    run_fast()
-    if counter_value("dispatch.lifted_blocks") == lifted:
-        raise SimulationError(
-            "dispatch_lifted: block plans never executed on the fast "
-            "side; refusing to benchmark")
-    return _row("dispatch_lifted", _best_of(run_reference, repeats),
-                _best_of(run_fast, repeats))
-
-
-def _bench_dispatch_shape_sweep(repeats: int) -> dict:
-    """Shape-keyed plan reuse across a fresh-content sweep vs reference.
-
-    Every call feeds the steady kernel content it has never seen — the
-    paper's core sweep shape (identical structure, fresh RNG inputs) —
-    so the content-keyed replay tier always misses and the fast side
-    must find its compiled plans under the *shape* digest
-    (``dispatch.shape_hit`` is the engagement witness after a first
-    sighting and one warm-up capture).  ``reference_s`` is the scalar
-    reference interpreter on the same data stream.
-    """
-    import numpy as np
-    run, n = _dispatch_case()
-    base = np.arange(n, dtype=np.int64)
-    fresh = iter(range(10 ** 9))
-
-    def run_fast():
-        return run((base * 131 + next(fresh)) % 1013)
-
-    def run_reference():
-        with reference_engine():
-            return run((base * 131 + next(fresh)) % 1013)
-
-    probe = (base * 17) % 1013
-    run((base * 19) % 1013)  # first sighting: the probe then captures
-    fast_result = run(probe.copy())
-    with reference_engine():
-        ref_result = run(probe.copy())
-    if fast_result != ref_result:
-        raise SimulationError(
-            "dispatch_shape_sweep: shape-keyed plans diverged from the "
-            "reference interpreter; refusing to benchmark")
-    hits = counter_value("dispatch.shape_hit")
-    run_fast()
-    if counter_value("dispatch.shape_hit") == hits:
-        raise SimulationError(
-            "dispatch_shape_sweep: fresh content never hit the shape-"
-            "keyed plan cache; refusing to benchmark")
-    return _row("dispatch_shape_sweep", _best_of(run_reference, repeats),
-                _best_of(run_fast, repeats))
-
-
-def _bench_dispatch_omp_lifted(repeats: int) -> dict:
-    """OpenMP lifted region plans vs the scalar reference on fresh data.
-
-    The steady parallel region runs on shared contents it has never
-    seen, so the content-keyed region replay always misses and the
-    dispatcher replays its lifted region plan
-    (``dispatch.lifted_regions`` is the engagement witness);
-    ``reference_s`` is the scalar reference scheduler on the same data
-    stream.
-    """
-    import numpy as np
-    from repro.cpu.presets import cpu_preset
-    from repro.openmp.interpreter import OpenMP
-
-    machine = cpu_preset(1)
-    n_threads = 8
-    n = 256
-
-    def body(tc):
-        acc = 0
-        for i in range(8):
-            value = yield tc.read("a", (tc.tid * 8 + i) % n)
-            acc = acc + value * (i + 1)
-        yield tc.atomic_update("total", 0, lambda cur: cur + acc)
-        yield tc.write("out", tc.tid, acc % 100003)
-
-    def run(a: "np.ndarray"):
-        shared = {"a": a, "total": np.zeros(1, np.int64),
-                  "out": np.zeros(n_threads, np.int64)}
-        result = OpenMP(machine, n_threads=n_threads,
-                        detect_races=False).parallel(body, shared=shared)
-        return (result.elapsed_ns, shared["total"].tobytes(),
-                shared["out"].tobytes())
-
-    base = np.arange(n, dtype=np.int64)
-    fresh = iter(range(10 ** 9))
-
-    def run_fast():
-        return run((base * 37 + next(fresh)) % 911)
-
-    def run_reference():
-        with reference_engine():
-            return run((base * 37 + next(fresh)) % 911)
-
-    probe = (base * 11) % 911
-    run((base * 13) % 911)  # first sighting: the probe then captures
-    fast_result = run(probe.copy())
-    with reference_engine():
-        ref_result = run(probe.copy())
-    if fast_result != ref_result:
-        raise SimulationError(
-            "dispatch_omp_lifted: lifted region plan diverged from the "
-            "reference scheduler; refusing to benchmark")
-    lifted = counter_value("dispatch.lifted_regions")
-    run_fast()
-    if counter_value("dispatch.lifted_regions") == lifted:
-        raise SimulationError(
-            "dispatch_omp_lifted: the region plan never executed on "
-            "the fast side; refusing to benchmark")
-    return _row("dispatch_omp_lifted", _best_of(run_reference, repeats),
-                _best_of(run_fast, repeats))
-
-
-def _bench_dispatch_disk_warm(repeats: int) -> dict:
-    """Cold-process warm-up from the on-disk plan store vs no store.
-
-    Both sides start every run from an emptied in-memory dispatcher
-    (the cold-process regime), so every launch is a first sighting of
-    its shape.  The fast side loads its compiled plans from a warm
-    :class:`repro.compiler.store.PlanStore` (``dispatch.disk_hit`` is
-    the engagement witness); the reference side has no store, so its
-    first sighting runs on the batched fast tier.  The store is warmed
-    over two sightings, because capture waits for the second.
-    """
-    import tempfile
-    import numpy as np
-    from repro.compiler.dispatcher import DISPATCHER
-    from repro.compiler.store import PlanStore
-    run, n = _dispatch_case()
-    a = (np.arange(n, dtype=np.int64) * 29) % 193
-    saved = DISPATCHER.plan_store
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            store = PlanStore(tmp)
-
-            def run_disk():
-                DISPATCHER.clear()
-                DISPATCHER.plan_store = store
-                return run(a.copy())
-
-            def run_no_store():
-                DISPATCHER.clear()
-                DISPATCHER.plan_store = None
-                return run(a.copy())
-
-            sighted = run_disk()  # first sighting: the fast tier
-            run(a.copy() + 1)  # second sighting: capture, warm the store
-            hits = counter_value("dispatch.disk_hit")
-            disk_result = run_disk()
-            if counter_value("dispatch.disk_hit") == hits:
-                raise SimulationError(
-                    "dispatch_disk_warm: the cold dispatcher never "
-                    "loaded plans from the warm store; refusing to "
-                    "benchmark")
-            cold_result = run_no_store()
-            if not (sighted == disk_result == cold_result):
-                raise SimulationError(
-                    "dispatch_disk_warm: disk-loaded plans diverged "
-                    "from the fast tier; refusing to benchmark a broken "
-                    "store")
-            return _row("dispatch_disk_warm",
-                        _best_of(run_no_store, repeats),
-                        _best_of(run_disk, repeats))
-    finally:
-        DISPATCHER.plan_store = saved
-        DISPATCHER.clear()
 
 
 # ------------------------------- service ------------------------------- #
@@ -855,10 +649,6 @@ def run_benchmarks(smoke: bool = False, jobs: int = 2) -> dict:
         _bench_interp("interp_omp_prefix_sum", _interp_omp_prefix_sum,
                       omp_rounds, repeats),
         _bench_dispatch_replay(repeats),
-        _bench_dispatch_lifted(repeats),
-        _bench_dispatch_shape_sweep(repeats),
-        _bench_dispatch_omp_lifted(repeats),
-        _bench_dispatch_disk_warm(repeats),
         *_bench_service(repeats),
         _bench_obs_tracing(repeats),
         _bench_campaign(CAMPAIGN_IDS_SMOKE if smoke else CAMPAIGN_IDS,

@@ -17,29 +17,15 @@ specialized callable per type signature:
   covers every remaining input: the kernel signature
   (:func:`function_signature`) freezes the current values of its
   closure cells, defaults, and the module globals it loads, and strict
-  mode accepts only deeply immutable values there.
-* **Lifted tier**: for *steady* pure kernels (control flow independent
-  of data — proven dynamically by symbolic capture), a
-  :class:`~repro.compiler.lift.BlockPlan` list (CUDA) or
-  :class:`~repro.compiler.lift.RegionPlan` (OpenMP) executes fresh data
-  with precompiled effects, no generators.  Capture runs no race
-  detector, so race-detecting OpenMP regions skip this tier and go
-  from replay straight to the fast scheduler.  Plans are keyed by a
-  **shape digest** — kernel signature (globals included), launch
-  config, machine fingerprint, array names/dtypes/shapes, but *not*
-  element content — so a sweep re-launching the same structure over
-  fresh RNG inputs hits this tier (``dispatch.shape_hit``).  A shape's
-  first sighting only marks it as seen and runs on the fast tier
-  (``dispatch.first_sight``); the second sighting pays the capture
-  (``dispatch.compile``), so a launch that never repeats its shape never
-  pays for plans.  When a :class:`~repro.compiler.store.PlanStore` is
-  configured (``SYNCPERF_PLAN_CACHE``), plans persist on disk across
-  processes — a cold process loads them on the first sighting
-  (``dispatch.disk_hit``) instead of waiting for the second.
-* **Fast/reference tiers**: everything else falls through to the
-  existing batched fast path and scalar reference untouched.
+  mode accepts only deeply immutable values there.  The key is a
+  ``(shape digest, content digest)`` pair: the shape digest covers the
+  kernel signature, launch config, machine fingerprint and array
+  names/dtypes/shapes; the content digest covers the array bytes.
+* **Fast/reference tiers**: every miss, and every ineligible launch,
+  runs on the batched fast path (or the scalar reference) untouched;
+  a miss's outcome is then recorded for the next identical launch.
 
-All tiers are byte-identical to the reference interpreter; the
+Replay is byte-identical to the reference interpreter; the
 differential-fuzz harness pins this with the dispatcher forced on.
 
 Keys include a **machine fingerprint**: a digest of the machine's
@@ -49,26 +35,17 @@ entries immediately (stale entries age out of the LRU).
 
 Counters (docs/observability.md): ``dispatch.hit`` / ``dispatch.miss``
 (keyed launches served / not served from the replay cache),
-``dispatch.shape_hit`` (launches/regions served from cached plans
-without recapture), ``dispatch.first_sight`` (shapes seen for the first
-time, left to the fast tier), ``dispatch.compile`` (plan compilations,
-second sightings only), ``dispatch.fallback`` (launches left to the
-fast/scalar tiers because they are ineligible or proven unliftable),
-``dispatch.lifted_blocks``, ``dispatch.lifted_regions``,
-``dispatch.evictions``, and the disk tier's ``dispatch.disk_hit`` /
-``disk_miss`` / ``disk_write`` / ``disk_corrupt`` (see
-:mod:`repro.compiler.store`).  When a recorder is installed the tiers
-also emit spans — ``dispatch.capture``, ``dispatch.replay``, and
-``dispatch.lifted`` (with the plan ``source``) — which traced service
-requests carry across process boundaries (docs/observability.md,
-"Cross-process trace context").
+``dispatch.fallback`` (launches left to the fast/scalar tiers because
+they are ineligible), and ``dispatch.evictions``.  When a recorder is
+installed a replay hit also emits a ``dispatch.replay`` span, which
+traced service requests carry across process boundaries
+(docs/observability.md, "Cross-process trace context").
 
 The ``SYNCPERF_DISPATCH`` environment variable (``on`` default,
 ``off``, ``force``) and the :func:`dispatch_disabled` /
 :func:`dispatch_forced` context managers control engagement; ``force``
 skips the static purity proof and lets the signature freeze mutable
-cells and globals by value (the dynamic capture guards stay on); it is
-meant for the fuzz harness.
+cells and globals by value; it is meant for the fuzz harness.
 """
 
 from __future__ import annotations
@@ -87,27 +64,13 @@ from dataclasses import is_dataclass
 import numpy as np
 
 from repro.compiler import lift
-from repro.compiler.store import store_from_env
 from repro.obs import span as obs_span
 from repro.obs.metrics import counter as _counter
 
 _C_HIT = _counter("dispatch.hit")
 _C_MISS = _counter("dispatch.miss")
-_C_SHAPE_HIT = _counter("dispatch.shape_hit")
-_C_COMPILE = _counter("dispatch.compile")
 _C_FALLBACK = _counter("dispatch.fallback")
-_C_FIRST_SIGHT = _counter("dispatch.first_sight")
-_C_LIFTED = _counter("dispatch.lifted_blocks")
-_C_LIFTED_REGIONS = _counter("dispatch.lifted_regions")
 _C_EVICT = _counter("dispatch.evictions")
-
-#: Sentinel marking a signature proven unliftable (capture escaped).
-_UNLIFTABLE = object()
-#: Sentinel marking a shape sighted once (capture on the next sighting).
-_SEEN = object()
-
-#: Capture attempts per kernel code object before giving up for good.
-_MAX_CAPTURE_ABORTS = 2
 
 
 # --------------------------------------------------------------------- #
@@ -137,8 +100,9 @@ def dispatch_disabled():
 
 @contextmanager
 def dispatch_forced():
-    """Context: key launches without the static purity proof (dynamic
-    capture guards remain).  For the fuzz/equivalence harnesses."""
+    """Context: key launches without the static purity proof, freezing
+    mutable cells and globals by value.  For the fuzz/equivalence
+    harnesses."""
     _MODE_STACK.append("force")
     try:
         yield
@@ -268,9 +232,9 @@ def function_signature(fn, permissive: bool, depth: int = 0,
     resolve to builtins are absent from ``fn.__globals__`` and skipped).
 
     Because the values enter the signature, and the signature enters
-    both the tier-0 content key and the shape digest, rebinding a
-    global or a cell simply keys a different entry: nothing cached
-    under the old values can be served.
+    the shape digest of the replay key, rebinding a global or a cell
+    simply keys a different entry: nothing cached under the old values
+    can be served.
 
     Recursive closures (a function whose cell holds itself, directly or
     through another function) are frozen as a cycle marker carrying the
@@ -303,15 +267,13 @@ def function_signature(fn, permissive: bool, depth: int = 0,
 
 
 def _shape_digest(sig: tuple) -> bytes:
-    """Collapse a structural plan signature into 16 stable bytes.
+    """Collapse a launch's structural signature into 16 bytes.
 
     The signature holds only primitives, bytes digests, enums, and
-    (frozen) dataclasses, all with deterministic ``repr``, so the digest
-    is stable across processes — which is what lets it double as the
-    on-disk plan-store filename.  It also prefixes the tier-0 replay
-    key, so both tiers see one identity; ``repr`` keeps apart values
-    that tuple equality would merge (``1``, ``1.0``, ``True``; ``0.0``
-    and ``-0.0``).
+    (frozen) dataclasses, all with deterministic ``repr``.  The digest
+    prefixes the replay key; ``repr`` keeps apart values that tuple
+    equality would merge (``1``, ``1.0``, ``True``; ``0.0`` and
+    ``-0.0``).
     """
     return hashlib.blake2b(repr(sig).encode(), digest_size=16).digest()
 
@@ -373,39 +335,27 @@ class Dispatcher:
     Args:
         max_entries: Replay-entry count ceiling.
         max_bytes: Total recorded-write bytes ceiling.
-        max_plans: Shape-digest ceiling of the plan LRU (plan sets,
-            unliftable marks, and first-sighting marks alike).
         memory_cap: Per-launch total memory bytes above which replay
             is not attempted (hashing would eat the win).
     """
 
     def __init__(self, max_entries: int = 1024,
                  max_bytes: int = 64 << 20,
-                 max_plans: int = 256,
                  memory_cap: int = 8 << 20) -> None:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.max_plans = max_plans
         self.memory_cap = memory_cap
-        #: Optional on-disk PlanStore (None = memory only).  The
-        #: process-wide DISPATCHER picks it up from SYNCPERF_PLAN_CACHE;
-        #: the measurement service sets it explicitly for its workers.
-        self.plan_store = store_from_env()
         self._lock = threading.RLock()
         self._entries: OrderedDict = OrderedDict()
         self._bytes = 0
-        self._plans: OrderedDict = OrderedDict()
-        self._capture_aborts: dict = {}
 
     # ------------------------------ shared ---------------------------- #
 
     def clear(self) -> None:
-        """Drop every cached entry and compiled plan (tests, bench)."""
+        """Drop every cached entry (tests, bench)."""
         with self._lock:
             self._entries.clear()
             self._bytes = 0
-            self._plans.clear()
-            self._capture_aborts.clear()
 
     def stats(self) -> dict:
         """Cache occupancy snapshot."""
@@ -413,7 +363,6 @@ class Dispatcher:
             return {
                 "entries": len(self._entries),
                 "bytes": self._bytes,
-                "plans": len(self._plans),
             }
 
     def _get_entry(self, key):
@@ -436,65 +385,6 @@ class Dispatcher:
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
                 _C_EVICT.add(1)
-
-    def _get_plans(self, plan_key):
-        with self._lock:
-            plans = self._plans.get(plan_key)
-            if plans is not None:
-                self._plans.move_to_end(plan_key)
-            return plans
-
-    def _put_plans(self, plan_key, plans) -> None:
-        with self._lock:
-            self._plans[plan_key] = plans
-            while len(self._plans) > self.max_plans:
-                self._plans.popitem(last=False)
-                _C_EVICT.add(1)
-
-    def _lookup_plans(self, digest: bytes, fn, capture):
-        """Plans for one shape digest: memory -> disk -> capture.
-
-        Returns ``(plans, source)`` where ``plans`` is the captured
-        ``BlockPlan`` list (CUDA) or ``RegionPlan`` (OpenMP),
-        :data:`_UNLIFTABLE`, or ``None`` and
-        ``source`` is ``"mem"``, ``"disk"``, ``"fresh"``, or ``None``.
-        A shape's first sighting loads from disk when it can; otherwise
-        it only marks the shape :data:`_SEEN` and returns ``(None,
-        None)`` so the launch runs on the fast tier.  Capture happens on
-        the second sighting: a one-off launch never pays for plans that
-        nothing would reuse.
-        """
-        plans = self._get_plans(digest)
-        if plans is _UNLIFTABLE:
-            return _UNLIFTABLE, None
-        if plans is None:
-            store = self.plan_store
-            plans = store.load(digest) if store is not None else None
-            if plans is None:
-                self._put_plans(digest, _SEEN)
-                _C_FIRST_SIGHT.add(1)
-                return None, None
-            self._put_plans(digest, plans)
-            return plans, "disk"
-        if plans is not _SEEN:
-            return plans, "mem"
-        code = fn.__code__
-        if self._capture_aborts.get(code, 0) >= _MAX_CAPTURE_ABORTS:
-            self._put_plans(digest, _UNLIFTABLE)
-            return _UNLIFTABLE, None
-        try:
-            with obs_span("dispatch.capture", kernel=fn.__name__):
-                plans = capture()
-            _C_COMPILE.add(1)
-        except Exception:
-            self._capture_aborts[code] = \
-                self._capture_aborts.get(code, 0) + 1
-            self._put_plans(digest, _UNLIFTABLE)
-            return _UNLIFTABLE, None
-        self._put_plans(digest, plans)
-        if self.plan_store is not None:
-            self.plan_store.save(digest, plans)
-        return plans, "fresh"
 
     def _digest_memory(self, memory) -> tuple | None:
         """(static signature, content digest, pre-bytes snapshot), or
@@ -552,11 +442,9 @@ class Dispatcher:
         shared_sig = tuple(sorted(
             (name, size, np.dtype(dt).str)
             for name, (size, dt) in shared_decls.items()))
-        plan_key = _shape_digest(
-            ("cuda-plan", ksig, launch, shared_sig, fp, static))
-        key = (plan_key, content)
-        return _CudaTicket(self, cuda, kernel, launch, memory,
-                           shared_decls, key, plan_key, pre)
+        shape = _shape_digest(
+            ("cuda", ksig, launch, shared_sig, fp, static))
+        return _CudaTicket(self, launch, memory, (shape, content), pre)
 
     # ------------------------------ OpenMP ---------------------------- #
 
@@ -593,29 +481,22 @@ class Dispatcher:
         # must never serve a detecting region.  A detecting entry is
         # always race-free: ``record`` refuses races, and a raising run
         # never records.
-        plan_key = _shape_digest(
-            ("omp-plan", bsig, omp.n_threads, omp.affinity,
+        shape = _shape_digest(
+            ("omp", bsig, omp.n_threads, omp.affinity,
              omp.relaxed_consistency, omp.detect_races, fp, static))
-        key = (plan_key, content)
-        return _OmpTicket(self, omp, body, shared_map, key, plan_key, pre)
+        return _OmpTicket(self, omp, shared_map, (shape, content), pre)
 
 
 class _CudaTicket:
-    """One keyed CUDA launch: replay -> lifted -> record."""
+    """One keyed CUDA launch: replay, or record after a miss."""
 
-    __slots__ = ("disp", "cuda", "kernel", "launch", "memory",
-                 "shared_decls", "key", "plan_key", "pre", "hit")
+    __slots__ = ("disp", "launch", "memory", "key", "pre", "hit")
 
-    def __init__(self, disp, cuda, kernel, launch, memory, shared_decls,
-                 key, plan_key, pre):
+    def __init__(self, disp, launch, memory, key, pre):
         self.disp = disp
-        self.cuda = cuda
-        self.kernel = kernel
         self.launch = launch
         self.memory = memory
-        self.shared_decls = shared_decls
         self.key = key
-        self.plan_key = plan_key
         self.pre = pre
         self.hit = False
 
@@ -635,49 +516,14 @@ class _CudaTicket:
         _C_HIT.add(1)
         return list(entry.block_cycles)
 
-    def run_lifted(self, ctx, stats, budget) -> list[float] | None:
-        """Execute via compiled block plans; None when unliftable."""
-        disp = self.disp
+    def run_lifted(self, *args) -> None:
+        """Always None; nothing in the package calls it.
 
-        def capture():
-            mem_info = {name: (arr.size, arr.dtype)
-                        for name, arr in self.memory.items()}
-            return [lift.capture_block_plan(
-                self.cuda, self.kernel, self.launch, ctx, b,
-                mem_info, self.shared_decls, self.cuda.max_steps)
-                for b in range(self.launch.grid_blocks)]
-
-        plans, source = disp._lookup_plans(self.plan_key, self.kernel,
-                                           capture)
-        if plans is None:
-            return None
-        if plans is _UNLIFTABLE:
-            _C_FALLBACK.add(1)
-            return None
-        if source == "mem":
-            _C_SHAPE_HIT.add(1)
-        with obs_span("dispatch.lifted", kind="cuda",
-                      blocks=len(plans), source=source):
-            from repro.cuda.fastpath import run_block_fast
-            cycles: list[float] = []
-            n_lifted = 0
-            for block_idx, plan in enumerate(plans):
-                if plan.steps <= budget.remaining:
-                    cycles.append(plan.execute(self.memory,
-                                               self.shared_decls,
-                                               stats))
-                    budget.charge(plan.steps)
-                    n_lifted += 1
-                else:
-                    # Budget would trip mid-block: the fast tier raises
-                    # at the exact step with the exact partial state.
-                    cycles.append(run_block_fast(
-                        self.cuda, self.kernel, self.launch, ctx,
-                        block_idx, self.memory, self.shared_decls,
-                        stats, budget))
-            if n_lifted:
-                _C_LIFTED.add(n_lifted)
-            return cycles
+        Kept only because the benchmark's traced layer table
+        (``syncbench/tracing.py``) wraps this method by name.  It goes
+        with the next benchmark change, once that table drops it.
+        """
+        return None
 
     def record(self, block_cycles, stats, budget) -> None:
         """Store the completed launch for future replay (miss only)."""
@@ -697,18 +543,15 @@ class _CudaTicket:
 
 
 class _OmpTicket:
-    """One keyed OpenMP region: replay -> lifted -> record."""
+    """One keyed OpenMP region: replay, or record after a miss."""
 
-    __slots__ = ("disp", "omp", "body", "shared_map", "key", "plan_key",
-                 "pre", "hit")
+    __slots__ = ("disp", "omp", "shared_map", "key", "pre", "hit")
 
-    def __init__(self, disp, omp, body, shared_map, key, plan_key, pre):
+    def __init__(self, disp, omp, shared_map, key, pre):
         self.disp = disp
         self.omp = omp
-        self.body = body
         self.shared_map = shared_map
         self.key = key
-        self.plan_key = plan_key
         self.pre = pre
         self.hit = False
 
@@ -734,51 +577,14 @@ class _OmpTicket:
             trace=None,
         )
 
-    def run_lifted(self):
-        """Execute via a compiled region plan; None when unliftable.
+    def run_lifted(self, *args) -> None:
+        """Always None; nothing in the package calls it.
 
-        Returns a ParallelResult byte-identical to the fast/reference
-        tiers: the plan mutates the shared arrays in place with the
-        exact scalar operation sequence, and times/counters were proven
-        content-independent at capture.  The caller still ``record``\\ s
-        the result, so tier 0 stacks on top.
+        Kept only because the benchmark's traced layer table
+        (``syncbench/tracing.py``) wraps this method by name.  It goes
+        with the next benchmark change, once that table drops it.
         """
-        omp = self.omp
-        disp = self.disp
-
-        def capture():
-            shared_info = {name: (arr.size, arr.dtype)
-                           for name, arr in self.shared_map.items()}
-            return lift.capture_region_plan(omp, self.body, shared_info,
-                                            omp.max_steps)
-
-        plan, source = disp._lookup_plans(self.plan_key, self.body,
-                                          capture)
-        if plan is None:
-            return None
-        if plan is _UNLIFTABLE:
-            _C_FALLBACK.add(1)
-            return None
-        if plan.steps > omp.max_steps:
-            # Captured under a larger budget; only a stepped execution
-            # knows where the current budget trips.
-            return None
-        if source == "mem":
-            _C_SHAPE_HIT.add(1)
-        from repro.openmp.interpreter import ParallelResult
-        with obs_span("dispatch.lifted", kind="omp", source=source):
-            memory = dict(self.shared_map)
-            plan.execute(memory)
-        _C_LIFTED_REGIONS.add(1)
-        return ParallelResult(
-            memory=memory,
-            thread_times_ns=list(plan.thread_times),
-            elapsed_ns=plan.elapsed,
-            races=[],
-            barriers=plan.barriers,
-            requests=plan.requests,
-            trace=None,
-        )
+        return None
 
     def record(self, result) -> None:
         """Store the completed region for future replay (miss only)."""

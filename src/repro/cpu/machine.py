@@ -74,7 +74,7 @@ class CpuMachine:
         self.params = params or CpuCostParams()
         self.jitter = jitter or JitterModel()
         self.cost_model = CpuCostModel(self.params)
-        self._context_cache: dict[tuple[int, Affinity], CpuRunContext] = {}
+        self._context_cache: dict[tuple, CpuRunContext] = {}
 
     @property
     def name(self) -> str:
@@ -91,13 +91,17 @@ class CpuMachine:
 
         Contexts are pure functions of (thread count, affinity) on a
         given topology, so they are built once and cached: sweeps resolve
-        the same placements at every series.
+        the same placements at every series.  The context carries the
+        op-price memo (and the engine's per-point plans), so the key also
+        holds the frozen ``topology``/``params``/``jitter``, which hash
+        by value: an in-place parameter flip resolves a fresh context.
         """
         if n_threads < 2:
             raise ConfigurationError(
                 "the paper omits single-thread runs: synchronization serves "
                 f"no purpose in serial execution (got {n_threads})")
-        cached = self._context_cache.get((n_threads, affinity))
+        key = (n_threads, affinity, self.topology, self.params, self.jitter)
+        cached = self._context_cache.get(key)
         if cached is not None:
             return cached
         placement = place_threads(self.topology, n_threads, affinity)
@@ -109,7 +113,7 @@ class CpuMachine:
             numa_keys={tid: self.topology.numa_node_of(place)
                        for tid, place in placement.items()},
         )
-        self._context_cache[(n_threads, affinity)] = ctx
+        self._context_cache[key] = ctx
         return ctx
 
     def op_cost(self, op: Op, ctx: CpuRunContext) -> float:

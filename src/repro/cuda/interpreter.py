@@ -425,18 +425,16 @@ class Cuda:
             block_cycles: list[float] | None = None
             ticket = None
             # The dispatcher memoizes whole launches per (kernel,
-            # machine, config, memory-contents) signature and compiles
-            # per-block plans for steady kernels; it only engages on the
-            # fast tier (byte-identical by contract) and never when a
-            # trace or race detector needs to observe every access.
+            # machine, config, memory-contents) signature; it only
+            # engages on the fast tier (byte-identical by contract) and
+            # never when a trace or race detector needs to observe every
+            # access.
             if self.fast and detector is None and trace_obj is None:
                 from repro.compiler.dispatcher import DISPATCHER
                 ticket = DISPATCHER.begin_cuda(self, kernel, launch,
                                                memory, shared)
             if ticket is not None:
                 block_cycles = ticket.replay(stats, budget)
-                if block_cycles is None:
-                    block_cycles = ticket.run_lifted(ctx, stats, budget)
             if block_cycles is None:
                 block_cycles = [
                     self._run_block(kernel, launch, ctx, block_idx,

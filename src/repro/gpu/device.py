@@ -63,7 +63,7 @@ class GpuDevice:
         self.params = params or GpuCostParams()
         self.atomics = atomics or AtomicUnitModel()
         self.cost_model = GpuCostModel(spec, self.params, self.atomics)
-        self._context_cache: dict[LaunchConfig, GpuRunContext] = {}
+        self._context_cache: dict[tuple, GpuRunContext] = {}
 
     @property
     def name(self) -> str:
@@ -74,16 +74,23 @@ class GpuDevice:
         return self.spec.clock_ghz
 
     def context(self, launch: LaunchConfig) -> GpuRunContext:
-        """Resolve a launch into its occupancy context (cached: contexts
-        are pure functions of the launch on a given device)."""
-        cached = self._context_cache.get(launch)
+        """Resolve a launch into its occupancy context.
+
+        Cached per launch *and* per parameter state: the context carries
+        the op-price memo (and the engine's per-point plans), so the key
+        also holds the frozen ``spec``/``params``/``atomics``, which hash
+        by value.  An in-place parameter flip therefore resolves a fresh
+        context instead of serving prices of the old values.
+        """
+        key = (launch, self.spec, self.params, self.atomics)
+        cached = self._context_cache.get(key)
         if cached is not None:
             return cached
         occ = occupancy(launch.grid_blocks, launch.block_threads,
                         self.spec.sm_count, self.spec.max_threads_per_sm,
                         self.spec.max_blocks_per_sm)
         ctx = GpuRunContext(launch=launch, occ=occ)
-        self._context_cache[launch] = ctx
+        self._context_cache[key] = ctx
         return ctx
 
     def op_cost(self, op: Op, ctx: GpuRunContext) -> float:

@@ -119,18 +119,21 @@ class MultiGpu:
                 launch: LaunchConfig) -> MultiGpuRunContext:
         """Resolve a (device count, launch) pair into a cached context.
 
-        The cache key includes the device, interconnect, and coherence
-        model in use, so swapping any of them in place resolves a fresh
-        context and with it a fresh op-price memo.
+        The cache key includes the device's frozen ``spec``/``params``/
+        ``atomics`` (which hash by value), the interconnect, and the
+        coherence model, so swapping any of them, or flipping one of
+        their fields in place, resolves a fresh context and with it a
+        fresh op-price memo.
         """
         if n_devices < 1:
             raise ConfigurationError("need at least one device")
-        key = (n_devices, launch, self.device, self.interconnect,
-               self.coherence)
+        device = self.device
+        key = (n_devices, launch, device.spec, device.params,
+               device.atomics, self.interconnect, self.coherence)
         cached = self._context_cache.get(key)
         if cached is not None:
             return cached
-        spec = self.device.spec
+        spec = device.spec
         occ = occupancy(launch.grid_blocks, launch.block_threads,
                         spec.sm_count, spec.max_threads_per_sm,
                         spec.max_blocks_per_sm)

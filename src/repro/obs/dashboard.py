@@ -22,9 +22,6 @@ from repro.obs.hist import LatencyHistogram
 #: Dispatch-tier evidence counters charted in the tier-mix panel.
 TIER_MIX_COUNTERS = (
     ("replay", "dispatch.hit"),
-    ("shape", "dispatch.shape_hit"),
-    ("disk", "dispatch.disk_hit"),
-    ("lift", "dispatch.compile"),
     ("fallback", "dispatch.fallback"),
 )
 

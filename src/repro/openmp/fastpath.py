@@ -91,9 +91,7 @@ def make_cost_model(machine, ctx):
     a contended :class:`SharedScalar` or a thread-private line-strided
     element — the exact target selection of the reference scheduler's
     ``_cost_target``.  ``plain_cost(kind)`` prices target-less ops
-    (barriers, flushes, locks).  Shared by :func:`parallel_fast` and the
-    lifted-tier capture (:func:`repro.compiler.lift.capture_region_plan`)
-    so both charge bit-identical costs.
+    (barriers, flushes, locks).
     """
     line = machine.topology.line_bytes
     mem_cost_cache: dict[tuple, float] = {}

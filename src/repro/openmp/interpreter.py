@@ -245,13 +245,6 @@ class OpenMP:
                     from repro.compiler.dispatcher import DISPATCHER
                     ticket = DISPATCHER.begin_omp(self, body, shared)
                 result = ticket.replay() if ticket is not None else None
-                if result is None and ticket is not None \
-                        and not self.detect_races:
-                    # Lifted tier: replay a shape-keyed compiled region
-                    # plan against the fresh contents (tier 0 misses on
-                    # any new input; the plan only needs the structure).
-                    # Detecting regions skip it: capture runs no detector.
-                    result = ticket.run_lifted()
                 if result is None:
                     from repro.openmp.fastpath import parallel_fast
                     result = parallel_fast(self, body, shared, trace)

@@ -33,8 +33,8 @@ from repro.obs.metrics import counter as _counter
 #: Bump when the entry layout changes (old entries then read as misses).
 ENTRY_VERSION = 1
 
-#: Entries removed by any bounded cache's eviction policy (shared with
-#: the dispatcher's on-disk plan store; docs/observability.md).
+#: Entries removed by the cache's eviction policy
+#: (docs/observability.md).
 _C_EVICTIONS = _counter("cache.evictions")
 
 

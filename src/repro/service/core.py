@@ -69,7 +69,6 @@ from repro.service.policy import (
     CircuitBreaker,
     RetryPolicy,
     error_exit_code,
-    error_name_exit_code,
     rebuild_exception,
     retryable_error_name,
 )
@@ -95,16 +94,6 @@ _INFRA_ERRORS = {
     "deadline": DeadlineExceeded,
 }
 
-#: Dispatch-tier evidence counters, in precedence order: the tier a
-#: request was served by is the one whose counter moved during its
-#: execution (ties broken cheapest-first).
-_TIER_COUNTERS = (
-    ("replay", "dispatch.hit"),
-    ("shape", "dispatch.shape_hit"),
-    ("disk", "dispatch.disk_hit"),
-    ("lift", "dispatch.compile"),
-)
-
 #: Counter families surfaced in per-response attribution (the ones a
 #: client can reconcile against ``/metrics``); the rest of the shipped
 #: prefixes still fold into the parent registry.
@@ -114,17 +103,11 @@ _ATTR_COUNTER_PREFIXES = ("dispatch.", "cache.")
 def dispatch_tier(counters: dict[str, int]) -> str:
     """Name the dispatch tier a request's counter deltas evidence.
 
-    ``replay`` (content-keyed replay hit), ``shape`` (shape-keyed
-    in-memory plan), ``disk`` (on-disk plan store), ``lift`` (plans
-    compiled this request), else ``interpret`` — nothing moved, the
-    launch ran on the plain interpreter (or fell back).
+    ``replay`` when ``dispatch.hit`` moved (a content-keyed replay
+    served a launch), else ``interpret`` — the launch ran on the plain
+    interpreter (or fell back).
     """
-    best_tier, best_delta = "interpret", 0
-    for tier, name in _TIER_COUNTERS:
-        delta = counters.get(name, 0)
-        if delta > best_delta:
-            best_tier, best_delta = tier, delta
-    return best_tier
+    return "replay" if counters.get("dispatch.hit", 0) > 0 else "interpret"
 
 
 class _Attribution:
@@ -200,12 +183,6 @@ class ServiceConfig:
             entries only answer degraded requests.
         cache_max_entries: Result-cache entry ceiling (oldest-mtime
             eviction on put; ``cache.evictions``); None = unbounded.
-        plan_cache_dir: Root for the dispatcher's on-disk lifted-plan
-            store (:class:`repro.compiler.store.PlanStore`).  Configured
-            process-wide *before* the worker pool forks, so cold
-            service workers warm their dispatch tier from disk instead
-            of re-capturing per process; None leaves the dispatcher
-            memory-only (or on whatever ``SYNCPERF_PLAN_CACHE`` set).
         checkpoint_path: Optional request-ledger manifest
             (:class:`CampaignCheckpoint`), durable across kills.
         scenario: Measurement-time fault scenario active in workers.
@@ -229,7 +206,6 @@ class ServiceConfig:
     cache_dir: str | Path | None = None
     cache_ttl_s: float = 3600.0
     cache_max_entries: int | None = None
-    plan_cache_dir: str | Path | None = None
     checkpoint_path: str | Path | None = None
     scenario: FaultScenario | None = None
     fault_plan: ProcessFaultPlan | None = None
@@ -273,13 +249,6 @@ class MeasurementService:
             self.cache = ResultCache(
                 self.config.cache_dir,
                 max_entries=self.config.cache_max_entries)
-        if self.config.plan_cache_dir is not None:
-            # Before the pool forks, so workers inherit the store and a
-            # cold process warms its dispatch tier from disk.
-            from repro.compiler.dispatcher import DISPATCHER
-            from repro.compiler.store import PlanStore
-            DISPATCHER.plan_store = PlanStore(
-                str(self.config.plan_cache_dir))
         self.pool: WorkerPool | None = None
         if self.config.workers > 0:
             self.pool = WorkerPool(
@@ -287,7 +256,6 @@ class MeasurementService:
                 heartbeat_timeout_s=self.config.heartbeat_timeout_s,
                 scenario=self.config.scenario,
                 fault_plan=self.config.fault_plan,
-                plan_cache_dir=self.config.plan_cache_dir,
                 flight_dir=self.config.flight_dir)
         self._breakers: dict[tuple[str, int], CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()

@@ -60,11 +60,8 @@ _GPU_BLOCKS = (1, 2, 4)
 #: whatever the responses actually reported, so a counter the server
 #: moved but no response attributed still fails the audit.
 KNOWN_ATTR_COUNTERS = (
-    "dispatch.hit", "dispatch.miss", "dispatch.shape_hit",
-    "dispatch.compile", "dispatch.fallback", "dispatch.lifted_blocks",
-    "dispatch.lifted_regions", "dispatch.evictions",
-    "dispatch.disk_hit", "dispatch.disk_miss", "dispatch.disk_write",
-    "dispatch.disk_corrupt", "cache.evictions",
+    "dispatch.hit", "dispatch.miss", "dispatch.fallback",
+    "dispatch.evictions", "cache.evictions",
 )
 
 

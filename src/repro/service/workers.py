@@ -68,22 +68,13 @@ CRASH_EXIT_CODE = 70
 HEARTBEAT_INTERVAL_S = 0.02
 
 
-def _worker_main(conn, heartbeat, scenario: FaultScenario | None,
-                 plan_cache_dir: str | None = None) -> None:
+def _worker_main(conn, heartbeat, scenario: FaultScenario | None) -> None:
     """Worker process entry: beat, then serve jobs off the pipe forever.
 
     Runs until the pipe closes or a poison pill (None) arrives.  All
     measurement exceptions are caught and reported as ``error`` replies;
     only injected fates (and genuine interpreter death) end the process.
     """
-    if plan_cache_dir is not None:
-        # Explicitly (re)point the dispatcher at the shared plan store:
-        # fork inheritance already covers the common case, but a worker
-        # must not depend on what the parent happened to configure
-        # before forking.
-        from repro.compiler.dispatcher import DISPATCHER
-        from repro.compiler.store import PlanStore
-        DISPATCHER.plan_store = PlanStore(plan_cache_dir)
     stop_beating = threading.Event()
 
     def beat() -> None:
@@ -155,13 +146,12 @@ def serve_job(job: dict) -> dict:
 class _Worker:
     """One supervised worker process (pipe + heartbeat + handle)."""
 
-    def __init__(self, ctx, scenario: FaultScenario | None,
-                 plan_cache_dir: str | None = None) -> None:
+    def __init__(self, ctx, scenario: FaultScenario | None) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.heartbeat = ctx.Value("d", time.monotonic())
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.heartbeat, scenario, plan_cache_dir),
+            args=(child_conn, self.heartbeat, scenario),
             daemon=True)
         self.process.start()
         child_conn.close()
@@ -204,15 +194,12 @@ class WorkerPool:
                  scenario: FaultScenario | None = None,
                  fault_plan: ProcessFaultPlan | None = None,
                  poll_interval_s: float = 0.01,
-                 plan_cache_dir: str | Path | None = None,
                  flight_dir: str | Path | None = None) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self._ctx = multiprocessing.get_context("fork")
         self._scenario = scenario
         self._fault_plan = fault_plan
-        self._plan_cache_dir = \
-            str(plan_cache_dir) if plan_cache_dir is not None else None
         self._flight_dir = Path(flight_dir) \
             if flight_dir is not None else None
         self._heartbeat_timeout_s = heartbeat_timeout_s
@@ -231,8 +218,7 @@ class WorkerPool:
         self.restart_reasons: dict[str, int] = {}
 
     def _add_worker(self) -> None:
-        worker = _Worker(self._ctx, self._scenario,
-                         self._plan_cache_dir)
+        worker = _Worker(self._ctx, self._scenario)
         with self._all_lock:
             self._all.append(worker)
         self._free.put(worker)

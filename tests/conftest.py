@@ -21,8 +21,7 @@ from repro.gpu.spec import GpuSpec
 
 #: Process-wide knobs individual tests may set; leaking one into the
 #: next test silently flips dispatch/engine behavior suite-wide.
-_ENV_KNOBS = ("SYNCPERF_DISPATCH", "SYNCPERF_ENGINE",
-              "SYNCPERF_PLAN_CACHE")
+_ENV_KNOBS = ("SYNCPERF_DISPATCH", "SYNCPERF_ENGINE")
 
 
 @pytest.fixture(autouse=True)

@@ -148,3 +148,60 @@ class TestGpuMeasurement:
         assert result.per_op_time == \
             pytest.approx(system3_gpu.op_cost(op, ctx))
         assert result.valid_fraction == 1.0
+
+
+class TestParameterFlips:
+    """An in-place cost-parameter flip must reach the engine: the
+    context (which holds the op-price memo and the per-point plans) is
+    keyed on the machine's parameter values, so ``measure`` after a
+    flip equals a freshly built machine with the flipped values."""
+
+    def _check(self, machine, rebuild, spec, resolve, params, field, delta):
+        engine = MeasurementEngine(machine)
+        before = engine.measure(spec, resolve(machine), label="p")
+        object.__setattr__(params, field, getattr(params, field) + delta)
+        after = engine.measure(spec, resolve(machine), label="p")
+        fresh = rebuild(machine)
+        expected = MeasurementEngine(fresh).measure(spec, resolve(fresh),
+                                                    label="p")
+        assert after.per_op_time != before.per_op_time
+        assert after == expected
+
+    def test_gpu_flip(self, mini_gpu):
+        from dataclasses import replace
+        from repro.experiments.base import cuda_syncthreads_spec
+        from repro.gpu.device import GpuDevice
+        from repro.gpu.spec import LaunchConfig
+        self._check(
+            mini_gpu,
+            lambda d: GpuDevice(d.spec, replace(d.params), d.atomics),
+            cuda_syncthreads_spec(),
+            lambda d: d.context(LaunchConfig(1, 64)),
+            mini_gpu.params, "sync_base_cycles", 500.0)
+
+    def test_cpu_flip(self, quiet_cpu):
+        from dataclasses import replace
+        from repro.cpu.machine import CpuMachine
+        self._check(
+            quiet_cpu,
+            lambda m: CpuMachine(m.topology, replace(m.params), m.jitter),
+            barrier_spec(),
+            lambda m: m.context(4),
+            quiet_cpu.params, "barrier_base_ns", 250.0)
+
+    def test_multigpu_flip(self, mini_gpu):
+        from dataclasses import replace
+        from repro.gpu.device import GpuDevice
+        from repro.gpu.multi import MultiGpu
+        from repro.gpu.spec import LaunchConfig
+        spec = MeasurementSpec.single(
+            "grid", op_barrier(PrimitiveKind.MULTI_GRID_SYNC))
+        self._check(
+            MultiGpu(mini_gpu),
+            lambda m: MultiGpu(GpuDevice(m.device.spec,
+                                         replace(m.device.params),
+                                         m.device.atomics),
+                               m.interconnect, m.coherence),
+            spec,
+            lambda m: m.context(2, LaunchConfig(4, 64)),
+            mini_gpu.params, "grid_sync_block_cycles", 40.0)

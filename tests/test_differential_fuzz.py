@@ -18,6 +18,7 @@ order.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 from contextlib import nullcontext
@@ -29,7 +30,9 @@ from repro.common.errors import DataRaceError
 from repro.compiler.dispatcher import (
     DISPATCHER, dispatch_disabled, dispatch_forced,
 )
+from repro.cpu.machine import CpuMachine
 from repro.cuda.interpreter import Cuda
+from repro.gpu.device import GpuDevice
 from repro.gpu.spec import LaunchConfig
 from repro.obs.metrics import counter_value
 from repro.openmp.interpreter import OpenMP
@@ -675,106 +678,13 @@ def test_openmp_race_corpus_exercises_both_verdicts(quiet_cpu):
     assert N_PROGRAMS // 4 <= racy <= N_PROGRAMS - N_PROGRAMS // 4, racy
 
 
-# ------------------- OpenMP lifted tier (tier 1) --------------------- #
+# ------- invalidation: flipped globals, cells, cost parameters ------- #
 
-
-def _gen_steady_omp_ops(rng):
-    """A random *steady* region: fixed control flow, concrete indices,
-    values flowing only through lift-able arithmetic (no ``int()``
-    coercions) — every generated program must lift, so a fallback is a
-    failure, not a skip."""
-    ops = []
-    for _ in range(rng.randint(3, 9)):
-        kind = rng.choice(("read", "write", "atomic_update",
-                           "atomic_capture", "barrier"))
-        if kind == "read":
-            ops.append(("read", rng.choice(("a", "b")),
-                        rng.randrange(16), rng.randrange(1, 5)))
-        elif kind == "write":
-            ops.append(("write", rng.randrange(7)))
-        elif kind == "atomic_update":
-            ops.append(("atomic_update", rng.randrange(4),
-                        rng.randrange(1, 9)))
-        elif kind == "atomic_capture":
-            ops.append(("atomic_capture", rng.randrange(4),
-                        rng.randrange(1, 9)))
-        else:
-            ops.append(("barrier",))
-    ops.append(("write", 0))  # every thread publishes its accumulator
-    return ops
-
-
-def _make_steady_omp_body(ops):
-    def body(tc):
-        acc = tc.tid
-        for op in ops:
-            if op[0] == "read":
-                value = yield tc.read(op[1], (tc.tid + op[2]) % 16)
-                acc = acc + value * op[3]
-            elif op[0] == "write":
-                yield tc.write("out", tc.tid, acc + op[1])
-            elif op[0] == "atomic_update":
-                _, slot, val = op
-                yield tc.atomic_update("acc", slot,
-                                       lambda cur, v=val: cur + v)
-            elif op[0] == "atomic_capture":
-                _, slot, val = op
-                old = yield tc.atomic_capture(
-                    "acc", slot, lambda cur, v=val: cur + v)
-                acc = acc + old
-            else:
-                yield tc.barrier()
-    return body
-
-
-def _steady_omp_shared(n_threads, salt):
-    return {"a": (np.arange(16, dtype=np.int64) * 5 + salt) % 43,
-            "b": (np.arange(16, dtype=np.int64) * 11 + salt) % 31,
-            "acc": np.zeros(4, np.int64),
-            "out": np.zeros(n_threads, np.int64)}
-
-
-@pytest.mark.parametrize("seed", range(N_PROGRAMS // 2))
-def test_openmp_lifted_tier_matches_reference(quiet_cpu, seed):
-    """Byte-identity of tier-1 region plans, with the plan provably
-    executing (fresh shared contents defeat tier-0 replay; the
-    ``dispatch.lifted_regions`` tripwire defeats a silent fallback)."""
-    rng = random.Random(7000 + seed)
-    ops = _gen_steady_omp_ops(rng)
-    body = _make_steady_omp_body(ops)
-    n_threads = rng.choice((2, 4))
-    DISPATCHER.clear()
-    with dispatch_forced():
-        omp = OpenMP(quiet_cpu, n_threads=n_threads, detect_races=False)
-        omp.parallel(body, _steady_omp_shared(n_threads, 2))  # sighting
-        omp.parallel(body, _steady_omp_shared(n_threads, 0))  # capture
-        lifted = counter_value("dispatch.lifted_regions")
-        hits = counter_value("dispatch.shape_hit")
-        fast_shared = _steady_omp_shared(n_threads, 1)
-        fast = omp.parallel(body, fast_shared)
-    assert counter_value("dispatch.lifted_regions") > lifted, \
-        f"seed {seed}: the region plan never executed"
-    assert counter_value("dispatch.shape_hit") > hits, \
-        f"seed {seed}: fresh contents did not shape-hit"
-    ref_shared = _steady_omp_shared(n_threads, 1)
-    ref = OpenMP(quiet_cpu, n_threads=n_threads, detect_races=False,
-                 fast=False).parallel(body, ref_shared)
-    assert fast.elapsed_ns == ref.elapsed_ns, f"seed {seed}"
-    assert fast.thread_times_ns == ref.thread_times_ns, f"seed {seed}"
-    assert fast.barriers == ref.barriers, f"seed {seed}"
-    assert fast.requests == ref.requests, f"seed {seed}"
-    for name in ref_shared:
-        assert fast_shared[name].tobytes() == \
-            ref_shared[name].tobytes(), f"seed {seed}: {name}"
-
-
-# ------------------ invalidation: a flipped global ------------------- #
-
-#: Fixed-seed corpus size per runtime for the invalidation case.
+#: Fixed-seed corpus size per runtime and flip kind.
 N_FLIP_PROGRAMS = 10
 
-#: The module global every invalidation program reads; each test flips
-#: it between launches with identical contents.
+#: The module global every invalidation program reads; the global-flip
+#: tests flip it between launches with identical contents.
 _FLIP_SCALE = 1
 
 
@@ -786,11 +696,18 @@ def _gen_flip_program(rng, kinds):
 
 
 def _make_flip_cuda_kernel(program):
+    """The kernel reads :data:`_FLIP_SCALE` and an int closure cell;
+    returns ``(kernel, set_cell)``, where ``set_cell`` rebinds the
+    cell."""
+    cell = 1
+
     def kernel(t):
-        acc = t.global_id % 7
+        acc = t.global_id % 7 + cell
         for kind, k in program:
             if kind == "alu":
                 yield t.alu(k)
+            elif kind == "sync":
+                yield t.syncthreads()
             elif kind == "read":
                 value = yield t.global_read(
                     "g0", (t.global_id + k) % t.total_threads)
@@ -799,12 +716,20 @@ def _make_flip_cuda_kernel(program):
                 old = yield t.atomic_add("acc", k, acc % 5 + _FLIP_SCALE)
                 acc = acc + old
         yield t.global_write("out", t.global_id, acc * _FLIP_SCALE)
-    return kernel
+
+    def set_cell(value):
+        nonlocal cell
+        cell = value
+
+    return kernel, set_cell
 
 
 def _make_flip_omp_body(program):
+    """The OpenMP twin of :func:`_make_flip_cuda_kernel`."""
+    cell = 1
+
     def body(tc):
-        acc = tc.tid
+        acc = tc.tid + cell
         for kind, k in program:
             if kind == "read":
                 value = yield tc.read("a", (tc.tid + k) % 16)
@@ -816,71 +741,182 @@ def _make_flip_omp_body(program):
             else:
                 yield tc.barrier()
         yield tc.write("out", tc.tid, acc * _FLIP_SCALE)
-    return body
+
+    def set_cell(value):
+        nonlocal cell
+        cell = value
+
+    return body, set_cell
 
 
-def _check_flip_sequence(monkeypatch, run, seed):
-    """Launch ``run(salt)`` around a flip of :data:`_FLIP_SCALE`, in
-    both dispatch modes.  Every launch must equal the undispatched
-    runtime at the same scale, and every tier must engage (a vacuous
-    pass would prove nothing).
+def _flip_omp_shared(n_threads, salt):
+    return {"a": (np.arange(16, dtype=np.int64) * 5 + salt) % 43,
+            "acc": np.zeros(4, np.int64),
+            "out": np.zeros(n_threads, np.int64)}
 
-    Before the flip: first sighting, capture, tier-0 replay.  After it,
-    identical contents again (a stale tier-0 entry would answer), then
-    the flipped shape's own sighting and capture.
+
+def _rebuilt(machine):
+    """A freshly built machine with ``machine``'s current parameter
+    values (and so with none of its cached contexts)."""
+    if isinstance(machine, GpuDevice):
+        return GpuDevice(machine.spec, dataclasses.replace(machine.params),
+                         dataclasses.replace(machine.atomics))
+    return CpuMachine(machine.topology, dataclasses.replace(machine.params),
+                      machine.jitter)
+
+
+def _cost_flip(machine, program, rng):
+    """A seeded in-place flip of one cost parameter that prices an op
+    the program issues; returns ``flip(on)``."""
+    kinds = {kind for kind, _ in program}
+    params = machine.params
+    if isinstance(machine, GpuDevice):
+        # Every kernel ends in a global write.
+        candidates = [(params, "global_load_cycles")]
+        if "alu" in kinds:
+            candidates.append((params, "alu_cycles"))
+        if "sync" in kinds:
+            candidates.append((params, "sync_base_cycles"))
+        if "atomic" in kinds:
+            candidates.append((machine.atomics, "latency_floor_cycles"))
+    else:
+        # Every body ends in a plain write.
+        candidates = [(params, "plain_update_ns")]
+        if "atomic" in kinds:
+            candidates += [(params, "int_alu_ns"),
+                           (params, "line_transfer_ns")]
+        if "barrier" in kinds:
+            candidates += [(params, "barrier_base_ns"),
+                           (params, "barrier_per_core_ns")]
+    obj, name = rng.choice(candidates)
+    base = getattr(obj, name)
+    flipped = base + rng.randint(1, 50)
+
+    def flip(on):
+        object.__setattr__(obj, name, flipped if on else base)
+
+    return flip
+
+
+def _check_flip_sequence(run, machine, flip, seed):
+    """Launch ``run(machine, salt)`` around ``flip(True)``, in both
+    dispatch modes.
+
+    Every launch must equal the undispatched runtime on a freshly built
+    copy of the machine at the same parameter values.  The flipped
+    machine's own undispatched run is no oracle: a context it cached
+    before the flip would mislead it as well.
+
+    Before the flip: salts 1, 0, 0, so two records and one tier-0
+    replay.  After it: identical contents again (a stale entry would
+    answer), then a replay and two fresh salts.  So every mode must
+    see exactly two hits and five misses, and the flip must change the
+    outcome: a flip that changes nothing proves nothing.
     """
-    module = sys.modules[__name__]
-    tiers = ("dispatch.hit", "dispatch.compile", "dispatch.shape_hit")
+    names = ("dispatch.hit", "dispatch.miss")
     for mode in (dispatch_forced, nullcontext):
         DISPATCHER.clear()
-        before = [counter_value(name) for name in tiers]
-        for scale, salts in ((1, (1, 0, 0)), (5, (0, 0, 2, 3))):
-            monkeypatch.setattr(module, "_FLIP_SCALE", scale)
+        before = [counter_value(name) for name in names]
+        outcomes = {}
+        for on, salts in ((False, (1, 0, 0)), (True, (0, 0, 2, 3))):
+            flip(on)
             for salt in salts:
                 with mode():
-                    got = run(salt)
+                    got = run(machine, salt)
                 with dispatch_disabled():
-                    assert got == run(salt), \
-                        f"seed {seed} {mode.__name__}: salt {salt} @ {scale}"
-        moved = [counter_value(name) - b for name, b in zip(tiers, before)]
-        assert moved == [2, 2, 1], \
-            f"seed {seed} {mode.__name__}: tiers moved {moved}"
+                    want = run(_rebuilt(machine), salt)
+                assert got == want, \
+                    f"seed {seed} {mode.__name__}: salt {salt} flipped={on}"
+                outcomes[on, salt] = got
+        assert outcomes[False, 0] != outcomes[True, 0], \
+            f"seed {seed}: the flip changed nothing"
+        moved = [counter_value(name) - b for name, b in zip(names, before)]
+        assert moved == [2, 5], \
+            f"seed {seed} {mode.__name__}: hit/miss moved {moved}"
 
 
-@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
-def test_cuda_global_flip_matches_reference(mini_gpu, monkeypatch, seed):
+def _cuda_flip_case(seed):
+    """``(program, set_cell, run, rng)`` for one seeded CUDA case."""
     rng = random.Random(8000 + seed)
-    kernel = _make_flip_cuda_kernel(
-        _gen_flip_program(rng, ("alu", "read", "atomic")))
+    program = _gen_flip_program(rng, ("alu", "read", "atomic", "sync"))
+    kernel, set_cell = _make_flip_cuda_kernel(program)
     block = rng.choice((32, 64))
     launch = LaunchConfig(2, block)
 
-    def run(salt):
+    def run(device, salt):
         n = 2 * block
         memory = {"g0": (np.arange(n, dtype=np.int64) * 7 + salt) % 61,
                   "acc": np.zeros(4, np.int64),
                   "out": np.zeros(n, np.int64)}
-        result = Cuda(mini_gpu).launch(kernel, launch, memory)
+        result = Cuda(device).launch(kernel, launch, memory)
         return (result.elapsed_cycles, result.block_cycles, result.stats,
                 {name: arr.tobytes() for name, arr in memory.items()})
 
-    _check_flip_sequence(monkeypatch, run, seed)
+    return program, set_cell, run, rng
 
 
-@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
-def test_openmp_global_flip_matches_reference(quiet_cpu, monkeypatch,
-                                              seed):
+def _omp_flip_case(seed):
+    """``(program, set_cell, run, rng)`` for one seeded OpenMP case."""
     rng = random.Random(9000 + seed)
-    body = _make_flip_omp_body(
-        _gen_flip_program(rng, ("read", "atomic", "barrier")))
+    program = _gen_flip_program(rng, ("read", "atomic", "barrier"))
+    body, set_cell = _make_flip_omp_body(program)
     n_threads = rng.choice((2, 4))
 
-    def run(salt):
-        shared = _steady_omp_shared(n_threads, salt)
-        result = OpenMP(quiet_cpu, n_threads=n_threads,
+    def run(machine, salt):
+        shared = _flip_omp_shared(n_threads, salt)
+        result = OpenMP(machine, n_threads=n_threads,
                         detect_races=False).parallel(body, shared)
         return (result.elapsed_ns, result.thread_times_ns,
                 result.barriers, result.requests,
                 {name: arr.tobytes() for name, arr in shared.items()})
 
-    _check_flip_sequence(monkeypatch, run, seed)
+    return program, set_cell, run, rng
+
+
+def _global_flip(monkeypatch):
+    module = sys.modules[__name__]
+    return lambda on: monkeypatch.setattr(module, "_FLIP_SCALE",
+                                          5 if on else 1)
+
+
+def _cell_flip(set_cell):
+    return lambda on: set_cell(5 if on else 1)
+
+
+@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
+def test_cuda_global_flip_matches_reference(mini_gpu, monkeypatch, seed):
+    _, _, run, _ = _cuda_flip_case(seed)
+    _check_flip_sequence(run, mini_gpu, _global_flip(monkeypatch), seed)
+
+
+@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
+def test_openmp_global_flip_matches_reference(quiet_cpu, monkeypatch,
+                                              seed):
+    _, _, run, _ = _omp_flip_case(seed)
+    _check_flip_sequence(run, quiet_cpu, _global_flip(monkeypatch), seed)
+
+
+@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
+def test_cuda_cell_flip_matches_reference(mini_gpu, seed):
+    _, set_cell, run, _ = _cuda_flip_case(seed)
+    _check_flip_sequence(run, mini_gpu, _cell_flip(set_cell), seed)
+
+
+@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
+def test_openmp_cell_flip_matches_reference(quiet_cpu, seed):
+    _, set_cell, run, _ = _omp_flip_case(seed)
+    _check_flip_sequence(run, quiet_cpu, _cell_flip(set_cell), seed)
+
+
+@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
+def test_cuda_cost_flip_matches_reference(mini_gpu, seed):
+    program, _, run, rng = _cuda_flip_case(seed)
+    _check_flip_sequence(run, mini_gpu,
+                         _cost_flip(mini_gpu, program, rng), seed)
+
+
+@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
+def test_openmp_cost_flip_matches_reference(quiet_cpu, seed):
+    program, _, run, rng = _omp_flip_case(seed)
+    _check_flip_sequence(run, quiet_cpu,
+                         _cost_flip(quiet_cpu, program, rng), seed)

@@ -41,11 +41,10 @@ def _deltas(before: dict[str, int]) -> dict[str, int]:
             for name, value in before.items()}
 
 
-DISPATCH = ("dispatch.hit", "dispatch.miss", "dispatch.compile",
-            "dispatch.fallback", "dispatch.lifted_blocks")
+DISPATCH = ("dispatch.hit", "dispatch.miss", "dispatch.fallback")
 
 
-# A steady kernel the dispatcher can both lift and replay.
+# A pure kernel the dispatcher can replay.
 def steady_kernel(t):
     tid = t.global_id
     acc = 0
@@ -59,7 +58,7 @@ def steady_kernel(t):
     yield t.atomic_add("c", 0, total)
 
 
-# Data-dependent control flow: unliftable, but replayable.
+# Data-dependent control flow: replayable all the same.
 def divergent_kernel(t):
     value = yield t.global_read("a", t.global_id)
     if value % 2 == 0:
@@ -139,7 +138,7 @@ class TestMachineFingerprint:
 
 
 # --------------------------------------------------------------------- #
-# CUDA: replay + lifted tiers
+# CUDA: the replay tier
 # --------------------------------------------------------------------- #
 
 
@@ -147,15 +146,12 @@ class TestCudaDispatch:
     def test_miss_then_hit_accounting(self, mini_gpu):
         DISPATCHER.clear()
         cuda = Cuda(mini_gpu)
-        cuda.launch(steady_kernel, LC, _memory(1))  # first sighting
         before = _counters(*DISPATCH)
         first = _memory()
         cuda.launch(steady_kernel, LC, first)
         d = _deltas(before)
         assert d["dispatch.miss"] == 1
         assert d["dispatch.hit"] == 0
-        assert d["dispatch.compile"] == 1
-        assert d["dispatch.lifted_blocks"] == LC.grid_blocks
 
         before = _counters(*DISPATCH)
         second = _memory()
@@ -163,7 +159,6 @@ class TestCudaDispatch:
         d = _deltas(before)
         assert d["dispatch.hit"] == 1
         assert d["dispatch.miss"] == 0
-        assert d["dispatch.compile"] == 0
         assert _snapshot(first) == _snapshot(second)
 
     def test_replay_matches_reference(self, mini_gpu):
@@ -180,53 +175,30 @@ class TestCudaDispatch:
         assert warm.block_cycles == ref.block_cycles
         assert warm.stats == ref.stats
 
-    def test_lifted_plans_reused_on_fresh_data(self, mini_gpu):
-        DISPATCHER.clear()
-        cuda = Cuda(mini_gpu)
-        cuda.launch(steady_kernel, LC, _memory(2))  # first sighting
-        cuda.launch(steady_kernel, LC, _memory(0))  # capture
-        before = _counters(*DISPATCH)
-        fast_mem = _memory(1)  # new content: replay must miss
-        fast = cuda.launch(steady_kernel, LC, fast_mem)
-        d = _deltas(before)
-        assert d["dispatch.miss"] == 1
-        assert d["dispatch.compile"] == 0, "plans must be reused"
-        assert d["dispatch.lifted_blocks"] == LC.grid_blocks
-        ref_mem = _memory(1)
-        ref = Cuda(mini_gpu, fast=False).launch(steady_kernel, LC,
-                                                ref_mem)
-        assert _snapshot(fast_mem) == _snapshot(ref_mem)
-        assert fast.elapsed_cycles == ref.elapsed_cycles
-        assert fast.block_cycles == ref.block_cycles
-        assert fast.stats == ref.stats
-
     def test_tiers_record_spans(self, mini_gpu):
         from repro.obs import Recorder, recording
         DISPATCHER.clear()
         cuda = Cuda(mini_gpu)
         rec = Recorder()
         with recording(rec):
-            cuda.launch(steady_kernel, LC, _memory(0))  # first sighting
+            cuda.launch(steady_kernel, LC, _memory(0))  # record
             cuda.launch(steady_kernel, LC, _memory(0))  # replay hit
-            cuda.launch(steady_kernel, LC, _memory(1))  # capture + plans
-        names = [s["name"] for s in rec.spans()]
-        assert "dispatch.capture" in names
-        assert "dispatch.replay" in names
-        assert "dispatch.lifted" in names
-        lifted = next(s for s in rec.spans()
-                      if s["name"] == "dispatch.lifted")
-        assert lifted["attrs"]["kind"] == "cuda"
+            cuda.launch(steady_kernel, LC, _memory(1))  # miss: no span
+        replays = [s for s in rec.spans() if s["name"] == "dispatch.replay"]
+        assert len(replays) == 1
+        assert replays[0]["attrs"]["kind"] == "cuda"
+        assert replays[0]["attrs"]["blocks"] == LC.grid_blocks
 
     def test_divergent_kernel_falls_back_but_replays(self, mini_gpu):
         DISPATCHER.clear()
         cuda = Cuda(mini_gpu)
-        cuda.launch(divergent_kernel, LC, _memory(1))  # first sighting
         before = _counters(*DISPATCH)
         cuda.launch(divergent_kernel, LC, _memory())
         d = _deltas(before)
+        # The miss falls back to the interpreter; data-dependent control
+        # flow does not make the kernel ineligible.
         assert d["dispatch.miss"] == 1
-        assert d["dispatch.lifted_blocks"] == 0
-        assert d["dispatch.fallback"] == 1  # capture aborted
+        assert d["dispatch.fallback"] == 0
 
         before = _counters(*DISPATCH)
         replayed = _memory()
@@ -374,8 +346,7 @@ class TestEviction:
         Cuda(mini_gpu).launch(steady_kernel, LC, _memory())
         DISPATCHER.clear()
         stats = DISPATCHER.stats()
-        assert stats["entries"] == 0 and stats["plans"] == 0 \
-            and stats["bytes"] == 0
+        assert stats == {"entries": 0, "bytes": 0}
 
 
 def omp_body(tc):
@@ -523,9 +494,9 @@ def _flip_shared(seed: int = 0) -> dict[str, np.ndarray]:
                          ids=["on", "force"])
 class TestModuleGlobals:
     """A module global flipped between two launches with identical
-    contents: every tier must serve the flipped value, exactly as the
-    undispatched runtime does.  Before the flip each runtime sees a
-    first sighting, a capture, and a tier-0 replay."""
+    contents: the dispatcher must serve the flipped value, exactly as
+    the undispatched runtime does.  Before the flip each runtime
+    records two entries and replays one."""
 
     def test_cuda_flip_matches_reference(self, mini_gpu, monkeypatch,
                                          mode):
@@ -539,7 +510,7 @@ class TestModuleGlobals:
             monkeypatch.setattr(module, "_FLIP", 5)
             before = _counters("dispatch.hit")
             results = []
-            # New key and shape @ 5: sighting, replay, capture, plans.
+            # New key @ 5: a miss on the old contents, then one replay.
             for seed in (0, 0, 2, 3):
                 memory = _memory(seed)
                 results.append((seed, memory,
@@ -616,7 +587,7 @@ class TestBenchCompare:
 
 
 # --------------------------------------------------------------------- #
-# Shape-keyed lifted tier (tier 1)
+# Replay keys: the shape digest covers the kernel's globals
 # --------------------------------------------------------------------- #
 
 
@@ -628,50 +599,14 @@ def scaled_kernel(t):
 
 
 class TestShapeKeys:
-    def test_fresh_content_is_a_shape_hit(self, mini_gpu):
-        DISPATCHER.clear()
-        cuda = Cuda(mini_gpu)
-        cuda.launch(steady_kernel, LC, _memory(2))  # first sighting
-        cuda.launch(steady_kernel, LC, _memory(0))  # capture
-        before = _counters("dispatch.shape_hit", "dispatch.compile")
-        cuda.launch(steady_kernel, LC, _memory(1))  # fresh content
-        d = _deltas(before)
-        assert d["dispatch.shape_hit"] == 1
-        assert d["dispatch.compile"] == 0
-
-    def test_first_sighting_defers_capture(self, mini_gpu):
-        DISPATCHER.clear()
-        cuda = Cuda(mini_gpu)
-        before = _counters("dispatch.compile", "dispatch.first_sight",
-                           "dispatch.fallback")
-        cuda.launch(steady_kernel, LC, _memory(0))
-        assert _deltas(before) == {"dispatch.compile": 0,
-                                   "dispatch.first_sight": 1,
-                                   "dispatch.fallback": 0}
-        before = _counters("dispatch.compile", "dispatch.first_sight")
-        cuda.launch(steady_kernel, LC, _memory(1))
-        assert _deltas(before) == {"dispatch.compile": 1,
-                                   "dispatch.first_sight": 0}
-
-    def test_identical_content_replays_without_shape_lookup(self,
-                                                            mini_gpu):
-        DISPATCHER.clear()
-        cuda = Cuda(mini_gpu)
-        cuda.launch(steady_kernel, LC, _memory(0))
-        before = _counters("dispatch.shape_hit", "dispatch.hit")
-        cuda.launch(steady_kernel, LC, _memory(0))  # tier-0 replay
-        d = _deltas(before)
-        assert d["dispatch.hit"] == 1
-        assert d["dispatch.shape_hit"] == 0
-
-    def test_global_flip_keys_new_plans(self, mini_gpu, monkeypatch):
+    def test_global_flip_keys_a_new_entry(self, mini_gpu, monkeypatch):
         """Same shape, different semantics must NOT replay.
 
         Flipping a module global the kernel reads changes what the
-        kernel computes without changing any dtype, shape, or launch
-        parameter.  The global's value is part of the kernel signature,
-        so the flipped kernel has a new shape digest and earns its own
-        plans on its own second sighting.
+        kernel computes without changing any dtype, shape, launch
+        parameter or memory byte.  The global's value is part of the
+        kernel signature, so the flipped kernel has a new shape digest
+        and its identical contents miss the entry recorded @ 2.
         """
         module = sys.modules[__name__]
         cuda = Cuda(mini_gpu)
@@ -679,19 +614,15 @@ class TestShapeKeys:
             DISPATCHER.clear()
             monkeypatch.setattr(module, "_PLAN_SCALE", 2)
             with mode():
-                cuda.launch(scaled_kernel, LC, _memory(2))  # sighting @ 2
-                cuda.launch(scaled_kernel, LC, _memory(0))  # capture @ 2
+                cuda.launch(scaled_kernel, LC, _memory(1))  # record @ 2
                 monkeypatch.setattr(module, "_PLAN_SCALE", 5)
-                before = _counters("dispatch.shape_hit",
-                                   "dispatch.compile")
-                cuda.launch(scaled_kernel, LC, _memory(2))  # sighting @ 5
-                flipped = _memory(1)  # fresh content: tier 0 must miss
+                before = _counters("dispatch.hit", "dispatch.miss")
+                flipped = _memory(1)  # identical contents
                 cuda.launch(scaled_kernel, LC, flipped)
-                d = _deltas(before)
-                assert d["dispatch.shape_hit"] == 0, \
-                    "the plans captured @ 2 must not serve @ 5"
-                assert d["dispatch.compile"] == 1, "must capture anew"
-            assert np.all(flipped["b"] == 35), "stale plan served 2 * 7"
+                assert _deltas(before) == {"dispatch.hit": 0,
+                                           "dispatch.miss": 1}, \
+                    "the entry recorded @ 2 must not serve @ 5"
+            assert np.all(flipped["b"] == 35), "stale entry served 2 * 7"
             ref = _memory(1)
             Cuda(mini_gpu, fast=False).launch(scaled_kernel, LC, ref)
             assert _snapshot(flipped) == _snapshot(ref)
@@ -710,112 +641,18 @@ class TestShapeKeys:
             keys.add(ticket.key)
         assert len(keys) == 3
 
-    def test_unchanged_globals_reuse_plans(self, mini_gpu):
+    def test_unchanged_globals_replay(self, mini_gpu):
+        """An unflipped global keys the same entry launch after launch:
+        the signature freezes the value, not the identity of a load."""
         cuda = Cuda(mini_gpu)
         for mode in (nullcontext, dispatch_forced):
             DISPATCHER.clear()
             with mode():
-                cuda.launch(scaled_kernel, LC, _memory(2))  # sighting
-                cuda.launch(scaled_kernel, LC, _memory(0))  # capture
-                before = _counters("dispatch.shape_hit")
+                keys = {DISPATCHER.begin_cuda(cuda, scaled_kernel, LC,
+                                              _memory(1), {}).key
+                        for _ in range(2)}
+                assert len(keys) == 1
+                cuda.launch(scaled_kernel, LC, _memory(1))  # record
+                before = _counters("dispatch.hit")
                 cuda.launch(scaled_kernel, LC, _memory(1))
-                assert _deltas(before)["dispatch.shape_hit"] == 1
-
-
-# --------------------------------------------------------------------- #
-# On-disk plan store (tier 2)
-# --------------------------------------------------------------------- #
-
-
-class TestPlanStore:
-    def _digest(self, n: int) -> bytes:
-        return bytes([n]) * 16
-
-    def test_round_trip(self, tmp_path):
-        from repro.compiler.store import PlanStore
-        store = PlanStore(tmp_path)
-        assert store.save(self._digest(1), [1, 2, 3])
-        assert store.load(self._digest(1)) == [1, 2, 3]
-
-    def test_missing_digest_is_a_miss(self, tmp_path):
-        from repro.compiler.store import PlanStore
-        before = _counters("dispatch.disk_miss")
-        assert PlanStore(tmp_path).load(self._digest(2)) is None
-        assert _deltas(before)["dispatch.disk_miss"] == 1
-
-    def test_corruption_reads_as_miss(self, tmp_path):
-        from repro.compiler.store import PlanStore
-        store = PlanStore(tmp_path)
-        store.save(self._digest(3), ["plans"])
-        path, = tmp_path.glob("*.plan")
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF  # flip one payload byte: checksum must catch
-        path.write_bytes(bytes(blob))
-        before = _counters("dispatch.disk_corrupt")
-        assert store.load(self._digest(3)) is None
-        assert _deltas(before)["dispatch.disk_corrupt"] == 1
-
-    def test_truncated_entry_reads_as_miss(self, tmp_path):
-        from repro.compiler.store import PlanStore
-        store = PlanStore(tmp_path)
-        store.save(self._digest(4), ["plans"])
-        path, = tmp_path.glob("*.plan")
-        path.write_bytes(path.read_bytes()[:10])  # torn write
-        assert store.load(self._digest(4)) is None
-
-    def test_eviction_bounds_the_store(self, tmp_path):
-        from repro.compiler.store import PlanStore
-        store = PlanStore(tmp_path, max_entries=2)
-        before = _counters("cache.evictions")
-        for n in range(4):
-            store.save(self._digest(n), [n])
-        assert store.entries() <= 2
-        assert _deltas(before)["cache.evictions"] >= 2
-
-    def test_cold_dispatcher_warms_from_disk(self, mini_gpu, tmp_path,
-                                             monkeypatch):
-        from repro.compiler.store import PlanStore
-        fresh = Dispatcher()
-        fresh.plan_store = PlanStore(tmp_path)
-        monkeypatch.setattr(dmod, "DISPATCHER", fresh)
-        cuda = Cuda(mini_gpu)
-        cuda.launch(steady_kernel, LC, _memory(2))  # first sighting
-        before = _counters("dispatch.disk_write")
-        cuda.launch(steady_kernel, LC, _memory(0))
-        assert _deltas(before)["dispatch.disk_write"] == 1
-
-        fresh.clear()  # simulate a cold process with a warm disk
-        before = _counters("dispatch.disk_hit", "dispatch.compile")
-        warm = _memory(1)
-        cuda.launch(steady_kernel, LC, warm)
-        d = _deltas(before)
-        assert d["dispatch.disk_hit"] == 1
-        assert d["dispatch.compile"] == 0, "plans came from disk"
-        ref = _memory(1)
-        Cuda(mini_gpu, fast=False).launch(steady_kernel, LC, ref)
-        assert _snapshot(warm) == _snapshot(ref)
-
-    def test_corrupt_disk_entry_forces_recapture(self, mini_gpu,
-                                                 tmp_path, monkeypatch):
-        from repro.compiler.store import PlanStore
-        fresh = Dispatcher()
-        fresh.plan_store = PlanStore(tmp_path)
-        monkeypatch.setattr(dmod, "DISPATCHER", fresh)
-        cuda = Cuda(mini_gpu)
-        cuda.launch(steady_kernel, LC, _memory(2))  # first sighting
-        cuda.launch(steady_kernel, LC, _memory(0))  # capture + save
-        for path in tmp_path.glob("*.plan"):
-            path.write_bytes(b"debris")
-        fresh.clear()
-        before = _counters("dispatch.compile", "dispatch.disk_hit")
-        # The cold first sighting finds only debris on disk; the second
-        # sighting recaptures.
-        cuda.launch(steady_kernel, LC, _memory(2))
-        warm = _memory(1)
-        cuda.launch(steady_kernel, LC, warm)
-        d = _deltas(before)
-        assert d["dispatch.disk_hit"] == 0
-        assert d["dispatch.compile"] == 1
-        ref = _memory(1)
-        Cuda(mini_gpu, fast=False).launch(steady_kernel, LC, ref)
-        assert _snapshot(warm) == _snapshot(ref)
+                assert _deltas(before)["dispatch.hit"] == 1

@@ -273,9 +273,9 @@ class TestInterpreterCounters:
                 ("interp.omp.uniform_rounds",
                  "interp.omp.fallback_rounds", "interp.omp.rounds",
                  "interp.omp.regions_fast")}
-        # The dispatcher's lifted tier would serve this steady region
-        # without a single fast-path round; these counters are the fast
-        # tier's, so pin the region to it.
+        # An identical region recorded earlier in the process would be
+        # replayed without a single fast-path round; these counters are
+        # the fast tier's, so pin the region to it.
         with dispatch_disabled():
             OpenMP(quiet_cpu, n_threads=4, detect_races=False).parallel(
                 body, shared={"counter": np.zeros(1, np.int64)})

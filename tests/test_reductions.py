@@ -141,10 +141,10 @@ class TestListing1Dispatch:
 
     def test_repeat_pass_replays_byte_identically(self, mini_gpu, data):
         DISPATCHER.clear()
-        compiles = counter_value("dispatch.compile")
+        misses = counter_value("dispatch.miss")
         fresh = compare_reductions(mini_gpu, data.copy(), block_threads=64)
-        assert counter_value("dispatch.compile") == compiles, \
-            "a first sighting must not capture"
+        assert counter_value("dispatch.miss") - misses == 5, \
+            "every first-pass launch must be keyed (and miss)"
         hits = counter_value("dispatch.hit")
         repeat = compare_reductions(mini_gpu, data.copy(),
                                     block_threads=64)

@@ -342,20 +342,3 @@ class TestCoalescing:
         assert not first.get("coalesced")
         assert not second.get("coalesced")  # warm hit, not a flight
         assert counter_value("service.coalesced") == coalesced
-
-
-class TestServicePlanCache:
-    def test_plan_cache_dir_wires_the_dispatcher_store(self, tmp_path):
-        from repro.compiler.dispatcher import DISPATCHER
-        saved = DISPATCHER.plan_store
-        try:
-            with MeasurementService(ServiceConfig(
-                    workers=0,
-                    plan_cache_dir=tmp_path / "plans")) as service:
-                assert DISPATCHER.plan_store is not None
-                assert str(DISPATCHER.plan_store.root) == \
-                    str(tmp_path / "plans")
-                assert service.submit(
-                    {"primitive": "omp_atomic"})["status"] == "served"
-        finally:
-            DISPATCHER.plan_store = saved
