@@ -57,6 +57,20 @@ DTYPES: tuple[DataType, ...] = (INT, ULL, FLOAT, DOUBLE)
 CAS_DTYPES: tuple[DataType, ...] = (INT, ULL)
 
 
+def dtype_of(np_dtype: np.dtype) -> DataType:
+    """The :class:`DataType` stored as ``np_dtype``, or :data:`INT` for
+    any other numpy dtype.
+
+    The interpreters price an access by the element type of the array
+    it touches; arrays of a type outside the paper's four (``int64`` is
+    the common case in kernels and workloads) price as ``int``.
+    """
+    for dt in DTYPES:
+        if dt.np_dtype == np_dtype:
+            return dt
+    return INT
+
+
 def dtype_by_name(name: str) -> DataType:
     """Look up a :class:`DataType` by its short name.
 

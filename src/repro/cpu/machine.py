@@ -73,8 +73,22 @@ class CpuMachine:
         self.topology = topology
         self.params = params or CpuCostParams()
         self.jitter = jitter or JitterModel()
-        self.cost_model = CpuCostModel(self.params)
+        self._cost_models: dict[CpuCostParams, CpuCostModel] = {}
         self._context_cache: dict[tuple, CpuRunContext] = {}
+
+    @property
+    def cost_model(self) -> CpuCostModel:
+        """The cost model of the current ``params``.
+
+        Memoized on the frozen value :meth:`context` keys on, so
+        replacing the attribute (``machine.params =
+        dataclasses.replace(...)``) prices with the new values.
+        """
+        model = self._cost_models.get(self.params)
+        if model is None:
+            model = self._cost_models[self.params] = \
+                CpuCostModel(self.params)
+        return model
 
     @property
     def name(self) -> str:

@@ -37,34 +37,27 @@ from repro.common.errors import SimulationError
 from repro.compiler.ops import Op, PrimitiveKind, Scope
 from repro.gpu.device import GpuDevice, GpuRunContext
 from repro.gpu.spec import WARP_SIZE, LaunchConfig
-from repro.mem.layout import SharedScalar
 from repro.cuda import requests as rq
 from repro.cuda.race import GpuAccess, GpuRaceDetector
 from repro.cuda.trace import Trace
 from repro.obs import attach_timeline
 from repro.obs import span as obs_span
+from repro.obs.metrics import _SUBSCRIBER as _metric_subscriber
 from repro.obs.metrics import counter as _counter
 
-#: Blocks executed by the scalar reference loop (observability; the fast
-#: runner's counterpart is ``interp.cuda.blocks_fast``).
+# Observability counters (docs/observability.md), accumulated per block
+# and flushed once at block end, so ``uniform_passes + fallback_passes
+# == passes`` holds by construction.
+_C_UNIFORM = _counter("interp.cuda.uniform_passes")
+_C_FALLBACK = _counter("interp.cuda.fallback_passes")
+_C_PASSES = _counter("interp.cuda.passes")
+_C_BLOCKS_FAST = _counter("interp.cuda.blocks_fast")
 _C_BLOCKS_REFERENCE = _counter("interp.cuda.blocks_reference")
 
 #: A kernel: generator function yielding requests.
 Kernel = Callable[["KernelThread"], Generator]
 
-_ATOMIC_KIND_OF = {
-    rq.AtomicAdd: PrimitiveKind.ATOMIC_ADD,
-    rq.AtomicSub: PrimitiveKind.ATOMIC_SUB,
-    rq.AtomicMax: PrimitiveKind.ATOMIC_MAX,
-    rq.AtomicMin: PrimitiveKind.ATOMIC_MIN,
-    rq.AtomicAnd: PrimitiveKind.ATOMIC_AND,
-    rq.AtomicOr: PrimitiveKind.ATOMIC_OR,
-    rq.AtomicXor: PrimitiveKind.ATOMIC_XOR,
-    rq.AtomicInc: PrimitiveKind.ATOMIC_INC,
-    rq.AtomicDec: PrimitiveKind.ATOMIC_DEC,
-    rq.AtomicCas: PrimitiveKind.ATOMIC_CAS,
-    rq.AtomicExch: PrimitiveKind.ATOMIC_EXCH,
-}
+_SYNCWARP_OP = Op(kind=PrimitiveKind.SYNCWARP)
 
 _BARRIER_KIND_OF = {
     rq.Syncthreads: PrimitiveKind.SYNCTHREADS,
@@ -84,12 +77,6 @@ _COLLECTIVE_KIND_OF = {
     rq.MatchAnySync: PrimitiveKind.MATCH_ANY_SYNC,
     rq.MatchAllSync: PrimitiveKind.MATCH_ALL_SYNC,
     rq.ReduceMaxSync: PrimitiveKind.REDUCE_MAX_SYNC,
-}
-
-_FENCE_KIND_OF = {
-    Scope.DEVICE: PrimitiveKind.THREADFENCE,
-    Scope.BLOCK: PrimitiveKind.THREADFENCE_BLOCK,
-    Scope.SYSTEM: PrimitiveKind.THREADFENCE_SYSTEM,
 }
 
 
@@ -490,29 +477,17 @@ class Cuda:
                    detector: GpuRaceDetector | None = None) -> float:
         """Execute one block to completion and return its modeled cycles.
 
-        Dispatches to the batched fast runner
-        (:func:`repro.cuda.fastpath.run_block_fast`) unless this runtime
-        was put on the reference path; the scalar loop below is the
-        authoritative semantics either way.
+        The one CUDA block scheduler.  Each round steps every warp by
+        one pass: each running lane yields one request, the budget is
+        charged once for the pass, and the pass executes one of two
+        ways.  On a batched runtime (``fast``, and no race detector,
+        which must see every access in program order) a pass whose
+        lanes all yielded one request class goes to that class's
+        handler in :mod:`repro.cuda.fastpath`.  Every other pass, and
+        any pass a handler declines, runs the scalar pass semantics
+        (:meth:`_process_gathered`): the oracle that ``fast=False``
+        runs and the differential fuzz compares against.
         """
-        if self.fast:
-            from repro.cuda.fastpath import run_block_fast
-            return run_block_fast(self, kernel, launch, ctx, block_idx,
-                                  memory, shared_decls, stats, budget,
-                                  trace, detector)
-        return self._run_block_reference(kernel, launch, ctx, block_idx,
-                                         memory, shared_decls, stats,
-                                         budget, trace, detector)
-
-    def _run_block_reference(self, kernel: Kernel, launch: LaunchConfig,
-                             ctx: GpuRunContext, block_idx: int,
-                             memory: dict[str, np.ndarray],
-                             shared_decls: dict[str, tuple[int, np.dtype]],
-                             stats: LaunchStats, budget: StepBudget,
-                             trace: Trace | None = None,
-                             detector: GpuRaceDetector | None = None
-                             ) -> float:
-        _C_BLOCKS_REFERENCE.add(1)
         shared = {name: np.zeros(size, dtype=dt)
                   for name, (size, dt) in shared_decls.items()}
         n = launch.block_threads
@@ -525,97 +500,142 @@ class Cuda:
             warps.append(lanes)
         warp_clocks = [0.0] * len(warps)
         env = _BlockEnv(block_idx=block_idx, detector=detector)
-        # Warps of the block seen issuing each (atomic kind, var): drives
-        # the dynamic contention estimate.
-        issuing_warps: dict[tuple[PrimitiveKind, str], set[int]] = {}
+        # Warps of the block seen issuing each (atomic class, var):
+        # drives the dynamic contention estimate.
+        issuing_warps: dict[tuple[type, str], set[int]] = {}
         resident_blocks = min(
             launch.grid_blocks,
             ctx.occ.active_sms * ctx.occ.blocks_per_sm_resident)
+        batched = self.fast and detector is None
+        handler_of = {}.get
+        uniform = None
+        if batched:
+            from repro.cuda.fastpath import UNIFORM_HANDLERS, UniformPasses
+            handler_of = UNIFORM_HANDLERS.get
+            uniform = UniformPasses(self, ctx, memory, shared, stats,
+                                    issuing_warps, resident_blocks)
 
-        def all_done() -> bool:
-            return all(lane.state is _LaneState.DONE
-                       for lanes in warps for lane in lanes)
-
-        while not all_done():
+        RUNNING = _LaneState.RUNNING
+        BARRIER = _LaneState.BARRIER
+        done_lanes = 0
+        barrier_waiting = False
+        n_uniform = n_fallback = 0
+        while done_lanes < n:
             progressed = False
             for warp_id, lanes in enumerate(warps):
-                stepped, cost, label = self._step_warp(
-                    warp_id, lanes, ctx, memory, shared, issuing_warps,
-                    resident_blocks, stats, budget, env)
-                if trace is not None and cost > 0:
-                    trace.add(block_idx, warp_id, label,
-                              warp_clocks[warp_id],
-                              warp_clocks[warp_id] + cost)
-                warp_clocks[warp_id] += cost
-                progressed |= stepped
-            progressed |= self._maybe_release_barrier(
-                warps, warp_clocks, ctx, stats, trace, block_idx, env)
+                glanes: list[_Lane] = []
+                reqs: list[rq.Request] = []
+                n_steps = 0
+                for lane in lanes:
+                    if lane.state is not RUNNING:
+                        continue
+                    n_steps += 1
+                    try:
+                        request = lane.gen.send(lane.pending)
+                    except StopIteration:
+                        lane.state = _LaneState.DONE
+                        done_lanes += 1
+                        continue
+                    lane.pending = None
+                    glanes.append(lane)
+                    reqs.append(request)
+                if n_steps:
+                    # One charge per pass: one step per send, lanes that
+                    # finished included.
+                    budget.charge(n_steps)
+                    progressed = True
+
+                cost = 0.0
+                label = ""
+                # A warp collective can only complete after a pass that
+                # parked or retired lanes: after a plain uniform pass
+                # every gathered lane runs on.
+                check_collective = True
+                if reqs:
+                    cls = reqs[0].__class__
+                    handler = handler_of(cls)
+                    if handler is not None:
+                        for r in reqs:
+                            if r.__class__ is not cls:
+                                handler = None
+                                break
+                    result = None if handler is None else \
+                        handler(uniform, warp_id, lanes, glanes, reqs)
+                    if result is not None:
+                        n_uniform += 1
+                        cost, label = result
+                        if cls in _BARRIER_KIND_OF:
+                            barrier_waiting = True
+                        else:
+                            check_collective = cls in _COLLECTIVE_KIND_OF
+                    else:
+                        n_fallback += 1
+                        cost, labels = self._process_gathered(
+                            warp_id, lanes, list(zip(glanes, reqs)), ctx,
+                            memory, shared, issuing_warps, resident_blocks,
+                            stats, env)
+                        label = "+".join(labels)
+                        for lane in glanes:
+                            if lane.state is BARRIER:
+                                barrier_waiting = True
+                                break
+                if check_collective:
+                    collective = self._maybe_run_collective(
+                        warp_id, lanes, ctx, stats)
+                    if collective is not None:
+                        progressed = True
+                        cost += collective[0]
+                        label = label + "+" + collective[1] if label \
+                            else collective[1]
+                if cost > 0:
+                    if trace is not None:
+                        trace.add(block_idx, warp_id, label,
+                                  warp_clocks[warp_id],
+                                  warp_clocks[warp_id] + cost)
+                    warp_clocks[warp_id] += cost
+            # Only scan for a barrier release while some lane waits at
+            # one.
+            if barrier_waiting and self._maybe_release_barrier(
+                    warps, warp_clocks, ctx, stats, trace, block_idx, env):
+                barrier_waiting = False
+                progressed = True
             if not progressed:
                 self._raise_deadlock(warps)
+
+        blocks = _C_BLOCKS_FAST if batched else _C_BLOCKS_REFERENCE
+        if _metric_subscriber[0] is None:
+            # No recorder: direct increments keep the per-block flush
+            # within the bench regression gate's noise floor.
+            blocks.value += 1
+            _C_UNIFORM.value += n_uniform
+            _C_FALLBACK.value += n_fallback
+            _C_PASSES.value += n_uniform + n_fallback
+        else:
+            blocks.add(1)
+            if n_uniform:
+                _C_UNIFORM.add(n_uniform)
+            if n_fallback:
+                _C_FALLBACK.add(n_fallback)
+            if n_uniform or n_fallback:
+                _C_PASSES.add(n_uniform + n_fallback)
         return max(warp_clocks) if warp_clocks else 0.0
 
     # ------------------------------------------------------------------ #
-
-    def _step_warp(self, warp_id: int, lanes: list[_Lane],
-                   ctx: GpuRunContext, memory: dict[str, np.ndarray],
-                   shared: dict[str, np.ndarray],
-                   issuing_warps: dict[tuple[PrimitiveKind, str], set[int]],
-                   resident_blocks: int, stats: LaunchStats,
-                   budget: StepBudget,
-                   env: "_BlockEnv | None" = None
-                   ) -> tuple[bool, float, str]:
-        """Advance every runnable lane of one warp by one request.
-
-        Returns:
-            (progressed, cycle cost of the pass, trace label).
-        """
-        stepped = False
-        gathered: list[tuple[_Lane, rq.Request]] = []
-        for lane in lanes:
-            if lane.state is not _LaneState.RUNNING:
-                continue
-            stepped = True
-            budget.charge()
-            try:
-                request = lane.gen.send(lane.pending)
-            except StopIteration:
-                lane.state = _LaneState.DONE
-                continue
-            lane.pending = None
-            gathered.append((lane, request))
-
-        if not gathered:
-            collective = self._maybe_run_collective(warp_id, lanes,
-                                                    ctx, stats)
-            if collective is not None:
-                return True, collective[0], collective[1]
-            return stepped, 0.0, ""
-
-        cost, labels = self._process_gathered(
-            warp_id, lanes, gathered, ctx, memory, shared, issuing_warps,
-            resident_blocks, stats, env)
-
-        collective = self._maybe_run_collective(warp_id, lanes, ctx, stats)
-        if collective is not None:
-            cost += collective[0]
-            labels.append(collective[1])
-        return True, cost, "+".join(labels)
 
     def _process_gathered(self, warp_id: int, lanes: list[_Lane],
                           gathered: list[tuple[_Lane, rq.Request]],
                           ctx: GpuRunContext,
                           memory: dict[str, np.ndarray],
                           shared: dict[str, np.ndarray],
-                          issuing_warps: dict[tuple[PrimitiveKind, str],
-                                              set[int]],
+                          issuing_warps: dict[tuple[type, str], set[int]],
                           resident_blocks: int, stats: LaunchStats,
                           env: "_BlockEnv | None" = None
                           ) -> tuple[float, list[str]]:
         """Execute one pass's gathered (lane, request) pairs.
 
-        This is the authoritative mixed-pass semantics, shared by the
-        scalar reference loop and the fast runner's fallback for
-        divergent passes.
+        The scalar pass semantics: every pass of a ``fast=False`` or
+        race-detecting block, and every pass the batched handlers do not
+        take (mixed request classes, or an error case), runs here.
 
         Returns:
             (cycle cost of the pass, sorted trace labels).
@@ -707,12 +727,10 @@ class Cuda:
             return params.alu_cycles * request.n
         if isinstance(request, rq.Syncwarp):
             stats.syncwarps += 1
-            return self.device.op_cost(
-                Op(kind=PrimitiveKind.SYNCWARP), ctx)
+            return self.device.op_cost(_SYNCWARP_OP, ctx)
         if isinstance(request, rq.Threadfence):
             stats.fences += 1
-            return self.device.op_cost(
-                Op(kind=_FENCE_KIND_OF[request.scope]), ctx)
+            return self.device.op_cost(rq.FENCE_OP_OF[request.scope], ctx)
         if isinstance(request, rq.GlobalRead):
             stats.global_accesses += 1
             lane.pending = self._load(memory, request, "global")
@@ -740,20 +758,12 @@ class Cuda:
                          group: list[tuple[_Lane, rq.AtomicRmw]],
                          ctx: GpuRunContext, memory: dict[str, np.ndarray],
                          shared: dict[str, np.ndarray],
-                         issuing_warps: dict[tuple[PrimitiveKind, str],
-                                             set[int]],
+                         issuing_warps: dict[tuple[type, str], set[int]],
                          resident_blocks: int, stats: LaunchStats,
                          env: "_BlockEnv | None" = None) -> float:
         """Execute one warp-pass's atomics to one variable, in lane order,
         and price them from the observed issue pattern."""
         space = shared if var in shared else memory
-        effective_scope = Scope.BLOCK if var in shared else scope
-        kind = _ATOMIC_KIND_OF[req_type]
-        if effective_scope is Scope.BLOCK:
-            stats.block_atomics += len(group)
-        else:
-            stats.global_atomics += len(group)
-
         arr = space.get(var)
         if arr is None:
             raise SimulationError(f"atomic on undeclared variable {var!r}")
@@ -777,46 +787,36 @@ class Cuda:
                     env.detector.record_global(var, request.idx, access)
             old = flat[request.idx].item()
             lane.pending = old
-            if isinstance(request, rq.AtomicAdd):
-                flat[request.idx] = old + request.value
-            elif isinstance(request, rq.AtomicSub):
-                flat[request.idx] = old - request.value
-            elif isinstance(request, rq.AtomicMax):
-                flat[request.idx] = max(old, request.value)
-            elif isinstance(request, rq.AtomicMin):
-                flat[request.idx] = min(old, request.value)
-            elif isinstance(request, rq.AtomicAnd):
-                flat[request.idx] = old & request.value
-            elif isinstance(request, rq.AtomicOr):
-                flat[request.idx] = old | request.value
-            elif isinstance(request, rq.AtomicXor):
-                flat[request.idx] = old ^ request.value
-            elif isinstance(request, rq.AtomicInc):
-                flat[request.idx] = 0 if old >= request.value else old + 1
-            elif isinstance(request, rq.AtomicDec):
-                flat[request.idx] = request.value \
-                    if (old == 0 or old > request.value) else old - 1
-            elif isinstance(request, rq.AtomicCas):
-                if old == request.compare:
-                    flat[request.idx] = request.value
-            elif isinstance(request, rq.AtomicExch):
-                flat[request.idx] = request.value
-            else:  # pragma: no cover - the group map is exhaustive
-                raise SimulationError(f"unknown atomic {request!r}")
+            flat[request.idx] = request.apply(old)
 
-        from repro.common.datatypes import DTYPES, INT
-        dtype = INT
-        for dt in DTYPES:
-            if dt.np_dtype == arr.dtype:
-                dtype = dt
-                break
-        seen = issuing_warps.setdefault((kind, var), set())
+        return self._atomic_cost(
+            warp_id, req_type, var, arr.dtype,
+            Scope.BLOCK if space is shared else scope,
+            len({request.idx for _l, request in group}), len(group), ctx,
+            issuing_warps, resident_blocks, stats)
+
+    def _atomic_cost(self, warp_id: int, req_type: type, var: str,
+                     np_dtype: np.dtype, scope: Scope, n_addresses: int,
+                     n_lanes: int, ctx: GpuRunContext,
+                     issuing_warps: dict[tuple[type, str], set[int]],
+                     resident_blocks: int, stats: LaunchStats) -> float:
+        """Count and price one warp pass's atomics to ``var``.
+
+        The price follows the observed issue pattern: ``n_lanes`` lanes
+        on ``n_addresses`` distinct addresses, the warps of the block
+        seen issuing this atomic on ``var`` so far, and the resident
+        blocks.  ``scope`` is the effective one (``BLOCK`` for shared
+        memory).  Both per-pass executors price atomics here.
+        """
+        if scope is Scope.BLOCK:
+            stats.block_atomics += n_lanes
+        else:
+            stats.global_atomics += n_lanes
+        seen = issuing_warps.setdefault((req_type, var), set())
         seen.add(warp_id)
-        op = Op(kind=kind, dtype=dtype, target=SharedScalar(dtype),
-                scope=effective_scope)
-        n_addresses = len({request.idx for _l, request in group})
         return self.device.atomic_issue_cost(
-            op, ctx, n_addresses=n_addresses, n_lanes=len(group),
+            rq.atomic_op(req_type, np_dtype, scope), ctx,
+            n_addresses=n_addresses, n_lanes=n_lanes,
             issuing_warps=len(seen), resident_blocks=resident_blocks)
 
     # ------------------------------------------------------------------ #

@@ -8,9 +8,14 @@ lane, in lane order, under SIMT lockstep.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from repro.compiler.ops import Scope
+import numpy as np
+
+from repro.common.datatypes import dtype_of
+from repro.compiler.ops import Op, PrimitiveKind, Scope
+from repro.mem.layout import SharedScalar
 
 
 @dataclass(frozen=True)
@@ -139,12 +144,26 @@ class AtomicRmw(MemoryRequest):
 
     scope: Scope = Scope.DEVICE
 
+    def apply(self, old):
+        """The value this atomic leaves at its address when that address
+        held ``old``.
+
+        The one read-modify-write rule of every CUDA runtime: atomics
+        that collide on an address apply it one lane at a time, in
+        issue order, each lane producing the ``old`` it saw.
+        """
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class AtomicAdd(AtomicRmw):
     """``atomicAdd()``; produces the old value."""
 
     value: object = 0
+
+    def apply(self, old):
+        """``old + value``."""
+        return old + self.value
 
 
 @dataclass(frozen=True)
@@ -153,12 +172,20 @@ class AtomicSub(AtomicRmw):
 
     value: object = 0
 
+    def apply(self, old):
+        """``old - value``."""
+        return old - self.value
+
 
 @dataclass(frozen=True)
 class AtomicAnd(AtomicRmw):
     """``atomicAnd()``; produces the old value."""
 
     value: object = 0
+
+    def apply(self, old):
+        """``old & value``."""
+        return old & self.value
 
 
 @dataclass(frozen=True)
@@ -167,12 +194,20 @@ class AtomicOr(AtomicRmw):
 
     value: object = 0
 
+    def apply(self, old):
+        """``old | value``."""
+        return old | self.value
+
 
 @dataclass(frozen=True)
 class AtomicXor(AtomicRmw):
     """``atomicXor()``; produces the old value."""
 
     value: object = 0
+
+    def apply(self, old):
+        """``old ^ value``."""
+        return old ^ self.value
 
 
 @dataclass(frozen=True)
@@ -181,12 +216,20 @@ class AtomicMax(AtomicRmw):
 
     value: object = 0
 
+    def apply(self, old):
+        """``max(old, value)``."""
+        return max(old, self.value)
+
 
 @dataclass(frozen=True)
 class AtomicMin(AtomicRmw):
     """``atomicMin()``; produces the old value."""
 
     value: object = 0
+
+    def apply(self, old):
+        """``min(old, value)``."""
+        return min(old, self.value)
 
 
 @dataclass(frozen=True)
@@ -196,6 +239,10 @@ class AtomicInc(AtomicRmw):
 
     value: object = 0
 
+    def apply(self, old):
+        """Wraps to 0 past ``value``."""
+        return 0 if old >= self.value else old + 1
+
 
 @dataclass(frozen=True)
 class AtomicDec(AtomicRmw):
@@ -203,6 +250,10 @@ class AtomicDec(AtomicRmw):
     produces the old value."""
 
     value: object = 0
+
+    def apply(self, old):
+        """Wraps to ``value`` at 0 (or above ``value``)."""
+        return self.value if (old == 0 or old > self.value) else old - 1
 
 
 @dataclass(frozen=True)
@@ -213,12 +264,20 @@ class AtomicCas(AtomicRmw):
     compare: object = 0
     value: object = 0
 
+    def apply(self, old):
+        """``value`` if ``old`` equals ``compare``, else unchanged."""
+        return self.value if old == self.compare else old
+
 
 @dataclass(frozen=True)
 class AtomicExch(AtomicRmw):
     """``atomicExch()``; produces the old value."""
 
     value: object = 0
+
+    def apply(self, old):
+        """``value``, whatever ``old`` was."""
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -310,3 +369,40 @@ class ReduceMaxSync(WarpCollective):
     """``__reduce_max_sync()`` — produces the warp maximum (CC >= 8.0)."""
 
     value: object = 0
+
+
+#: The primitive each atomic request class prices as.
+ATOMIC_KIND_OF: dict[type, PrimitiveKind] = {
+    AtomicAdd: PrimitiveKind.ATOMIC_ADD,
+    AtomicSub: PrimitiveKind.ATOMIC_SUB,
+    AtomicMax: PrimitiveKind.ATOMIC_MAX,
+    AtomicMin: PrimitiveKind.ATOMIC_MIN,
+    AtomicAnd: PrimitiveKind.ATOMIC_AND,
+    AtomicOr: PrimitiveKind.ATOMIC_OR,
+    AtomicXor: PrimitiveKind.ATOMIC_XOR,
+    AtomicInc: PrimitiveKind.ATOMIC_INC,
+    AtomicDec: PrimitiveKind.ATOMIC_DEC,
+    AtomicCas: PrimitiveKind.ATOMIC_CAS,
+    AtomicExch: PrimitiveKind.ATOMIC_EXCH,
+}
+
+#: The op each ``__threadfence*()`` scope prices as.
+FENCE_OP_OF: dict[Scope, Op] = {
+    Scope.DEVICE: Op(kind=PrimitiveKind.THREADFENCE),
+    Scope.BLOCK: Op(kind=PrimitiveKind.THREADFENCE_BLOCK),
+    Scope.SYSTEM: Op(kind=PrimitiveKind.THREADFENCE_SYSTEM),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def atomic_op(cls: type, np_dtype: np.dtype, scope: Scope) -> Op:
+    """The op that prices an atomic of request class ``cls`` on an
+    array of ``np_dtype`` at ``scope``: a contended scalar of the
+    matching :class:`~repro.common.datatypes.DataType`.
+
+    Memoized (the domain is classes x dtypes x scopes), so every warp
+    pass of one shape reuses one op and its cached hash.
+    """
+    dtype = dtype_of(np_dtype)
+    return Op(kind=ATOMIC_KIND_OF[cls], dtype=dtype,
+              target=SharedScalar(dtype), scope=scope)

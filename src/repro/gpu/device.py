@@ -62,8 +62,22 @@ class GpuDevice:
         self.spec = spec
         self.params = params or GpuCostParams()
         self.atomics = atomics or AtomicUnitModel()
-        self.cost_model = GpuCostModel(spec, self.params, self.atomics)
+        self._cost_models: dict[tuple, GpuCostModel] = {}
         self._context_cache: dict[tuple, GpuRunContext] = {}
+
+    @property
+    def cost_model(self) -> GpuCostModel:
+        """The cost model of the current ``spec``/``params``/``atomics``.
+
+        Memoized on the same frozen values :meth:`context` keys on, so
+        replacing one of the attributes (``device.params =
+        dataclasses.replace(...)``) prices with the new values.
+        """
+        key = (self.spec, self.params, self.atomics)
+        model = self._cost_models.get(key)
+        if model is None:
+            model = self._cost_models[key] = GpuCostModel(*key)
+        return model
 
     @property
     def name(self) -> str:

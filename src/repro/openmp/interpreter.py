@@ -29,6 +29,7 @@ from typing import Callable, Generator, Mapping
 import numpy as np
 
 from repro.common.budget import StepBudget
+from repro.common.datatypes import INT, dtype_of
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.compiler.ops import Op, PrimitiveKind
 from repro.core.engine import fast_path_default
@@ -463,13 +464,8 @@ class OpenMP:
     def _dtype_of(request, memory: dict[str, np.ndarray], var: str):
         if getattr(request, "dtype", None) is not None:
             return request.dtype
-        from repro.common.datatypes import DTYPES, INT
         arr = memory.get(var)
-        if arr is not None:
-            for dt in DTYPES:
-                if dt.np_dtype == arr.dtype:
-                    return dt
-        return INT
+        return INT if arr is None else dtype_of(arr.dtype)
 
     def _execute(self, request, tid: int, memory: dict[str, np.ndarray],
                  detector: RaceDetector | None,
@@ -559,7 +555,6 @@ class OpenMP:
     def _execute_critical(self, request: rq.Critical, tid: int,
                           memory: dict[str, np.ndarray],
                           detector: RaceDetector | None, charge) -> object:
-        from repro.common.datatypes import INT
         dtype = request.dtype or INT
         charge(tid, Op(kind=PrimitiveKind.OMP_CRITICAL_UPDATE, dtype=dtype,
                        target=SharedScalar(dtype)))

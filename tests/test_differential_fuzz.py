@@ -158,7 +158,7 @@ def _sindex(t, mode):
     return (t.threadIdx + 1) % t.blockDim
 
 
-def _run_cuda(device, program, grid, block, fast):
+def _run_cuda(device, program, grid, block, fast, trace=False):
     n = grid * block
     kernel = _make_cuda_kernel(program)
     cuda = Cuda(device, fast=fast)
@@ -168,20 +168,23 @@ def _run_cuda(device, program, grid, block, fast):
                   "g1": (np.arange(n, dtype=np.int64) * 13) % 97,
                   "acc": np.zeros(8, np.int64),
                   "out": np.zeros(n, np.int64)},
-        shared_decls={"buf": (block, np.dtype(np.int64))})
+        shared_decls={"buf": (block, np.dtype(np.int64))}, trace=trace)
 
 
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
 def test_cuda_fast_path_matches_reference(mini_gpu, seed):
+    """Traced, so the per-pass cost and label each executor returns are
+    compared pass by pass, not only their block totals."""
     rng = random.Random(1000 + seed)
     program = _gen_cuda_ops(rng)
     grid = rng.choice((1, 2))
     block = rng.choice((32, 64))
-    fast = _run_cuda(mini_gpu, program, grid, block, fast=True)
-    ref = _run_cuda(mini_gpu, program, grid, block, fast=False)
+    fast = _run_cuda(mini_gpu, program, grid, block, fast=True, trace=True)
+    ref = _run_cuda(mini_gpu, program, grid, block, fast=False, trace=True)
     assert fast.elapsed_cycles == ref.elapsed_cycles, f"seed {seed}"
     assert fast.block_cycles == ref.block_cycles, f"seed {seed}"
     assert fast.stats == ref.stats, f"seed {seed}"
+    assert fast.trace.events == ref.trace.events, f"seed {seed}"
     assert set(fast.memory) == set(ref.memory)
     for name in ref.memory:
         assert fast.memory[name].tobytes() == \
@@ -765,9 +768,14 @@ def _rebuilt(machine):
                       machine.jitter)
 
 
-def _cost_flip(machine, program, rng):
-    """A seeded in-place flip of one cost parameter that prices an op
-    the program issues; returns ``flip(on)``."""
+def _cost_flip(machine, program, rng, swap=False):
+    """A seeded flip of one cost parameter that prices an op the program
+    issues; returns ``flip(on)``.
+
+    The flip edits the parameter object in place, or with ``swap``
+    replaces the machine's ``params``/``atomics`` attribute by an edited
+    copy (``dataclasses.replace``).
+    """
     kinds = {kind for kind, _ in program}
     params = machine.params
     if isinstance(machine, GpuDevice):
@@ -791,6 +799,11 @@ def _cost_flip(machine, program, rng):
     obj, name = rng.choice(candidates)
     base = getattr(obj, name)
     flipped = base + rng.randint(1, 50)
+    if swap:
+        attr = "params" if obj is params else "atomics"
+        versions = {False: obj,
+                    True: dataclasses.replace(obj, **{name: flipped})}
+        return lambda on: setattr(machine, attr, versions[on])
 
     def flip(on):
         object.__setattr__(obj, name, flipped if on else base)
@@ -908,15 +921,23 @@ def test_openmp_cell_flip_matches_reference(quiet_cpu, seed):
     _check_flip_sequence(run, quiet_cpu, _cell_flip(set_cell), seed)
 
 
-@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
-def test_cuda_cost_flip_matches_reference(mini_gpu, seed):
+#: ``(seed, swap)`` cost-flip cases: the in-place flip under the bare
+#: seed id, the attribute swap under ``swap-<seed>``.
+_COST_FLIP_CASES = [pytest.param(seed, swap,
+                                 id=f"swap-{seed}" if swap else str(seed))
+                    for swap in (False, True)
+                    for seed in range(N_FLIP_PROGRAMS)]
+
+
+@pytest.mark.parametrize("seed, swap", _COST_FLIP_CASES)
+def test_cuda_cost_flip_matches_reference(mini_gpu, seed, swap):
     program, _, run, rng = _cuda_flip_case(seed)
     _check_flip_sequence(run, mini_gpu,
-                         _cost_flip(mini_gpu, program, rng), seed)
+                         _cost_flip(mini_gpu, program, rng, swap), seed)
 
 
-@pytest.mark.parametrize("seed", range(N_FLIP_PROGRAMS))
-def test_openmp_cost_flip_matches_reference(quiet_cpu, seed):
+@pytest.mark.parametrize("seed, swap", _COST_FLIP_CASES)
+def test_openmp_cost_flip_matches_reference(quiet_cpu, seed, swap):
     program, _, run, rng = _omp_flip_case(seed)
     _check_flip_sequence(run, quiet_cpu,
-                         _cost_flip(quiet_cpu, program, rng), seed)
+                         _cost_flip(quiet_cpu, program, rng, swap), seed)

@@ -1,14 +1,15 @@
 """The batched interpreter fast paths must mirror the scalar reference.
 
-Both kernel interpreters keep two schedulers (see the "Interpreter fast
-path" section of ``docs/performance.md``): the retained scalar loops in
-:class:`repro.cuda.interpreter.Cuda` / :class:`repro.openmp.interpreter.
-OpenMP` are the authoritative semantics, and the warp-batched /
-round-batched dispatchers in :mod:`repro.cuda.fastpath` and
-:mod:`repro.openmp.fastpath` must reproduce them exactly — same memory
-bytes, same modeled times, same stats, same trace events, same race
-reports, same raised errors.  Any divergence here is a correctness bug,
-never an acceptable approximation.
+See the "Interpreter fast path" section of ``docs/performance.md``.
+The CUDA block scheduler runs a uniform warp pass through the batched
+handlers of :mod:`repro.cuda.fastpath` when ``fast`` is on, and through
+the scalar pass semantics of :class:`repro.cuda.interpreter.Cuda`
+otherwise; OpenMP keeps the scalar loop of
+:class:`repro.openmp.interpreter.OpenMP` next to the round-batched
+scheduler of :mod:`repro.openmp.fastpath`.  Both settings must agree
+exactly — same memory bytes, same modeled times, same stats, same trace
+events, same race reports, same raised errors.  Any divergence here is
+a correctness bug, never an acceptable approximation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 import pytest
 
-import repro.cuda.fastpath as cuda_fastpath
 import repro.openmp.fastpath as omp_fastpath
 from repro.common.errors import SimulationError
 from repro.compiler.dispatcher import dispatch_disabled
@@ -91,20 +91,20 @@ class TestCudaEquivalence:
             return {"a": np.arange(128, dtype=np.int64),
                     "b": np.zeros(128, np.int64)}
 
-        before = cuda_fastpath.UNIFORM_PASSES
+        before = counter_value("interp.cuda.uniform_passes")
         _launch_both(mini_gpu, kernel, LaunchConfig(2, 64), make,
                      trace=True)
-        assert cuda_fastpath.UNIFORM_PASSES > before
+        assert counter_value("interp.cuda.uniform_passes") > before
 
     def test_reference_path_never_batches(self, mini_gpu):
         def kernel(t):
             yield t.global_write("out", t.global_id, 1)
 
-        before = cuda_fastpath.UNIFORM_PASSES
+        before = counter_value("interp.cuda.uniform_passes")
         out = np.zeros(64, np.int64)
         Cuda(mini_gpu, fast=False).launch(
             kernel, LaunchConfig(1, 64), globals_={"out": out})
-        assert cuda_fastpath.UNIFORM_PASSES == before
+        assert counter_value("interp.cuda.uniform_passes") == before
         assert out.sum() == 64
 
     def test_divergent_kernel(self, mini_gpu):
@@ -130,7 +130,7 @@ class TestCudaEquivalence:
 
     def test_mixed_variable_pass_falls_back(self, mini_gpu):
         """Lanes of one warp hitting different arrays in the same pass
-        exercise the scalar fallback inside the fast runner."""
+        exercise the scalar pass semantics on a batched runtime."""
         def kernel(t):
             i = t.threadIdx
             var = "a" if i % 2 == 0 else "b"
