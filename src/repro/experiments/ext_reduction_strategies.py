@@ -24,11 +24,11 @@ def run_reduction_strategies(machine: CpuMachine | None = None,
                              ) -> dict[str, ReduceOutcome]:
     """Sum 0..n-1 with each strategy on a paper CPU.
 
-    The strategies run on the interpreter's batched fast scheduler
+    The strategies run on the interpreter's batched uniform rounds
     (race detection off — the bodies are race-free by construction);
-    one extra run of the atomic strategy on the scalar reference
-    scheduler rides along under the ``"atomic_reference"`` key so the
-    claims can assert dispatch parity.
+    one extra ``fast=False`` run of the atomic strategy, the scalar
+    reference sweep, rides along under the ``"atomic_reference"`` key
+    so the claims can assert dispatch parity.
     """
     machine = machine or cpu_preset(3)
     omp = OpenMP(machine, n_threads=n_threads, detect_races=False)

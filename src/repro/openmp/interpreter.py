@@ -29,23 +29,54 @@ from typing import Callable, Generator, Mapping
 import numpy as np
 
 from repro.common.budget import StepBudget
-from repro.common.datatypes import INT, dtype_of
+from repro.common.datatypes import INT, DataType, dtype_of
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.compiler.ops import Op, PrimitiveKind
+from repro.compiler.ops import PrimitiveKind
 from repro.core.engine import fast_path_default
 from repro.cpu.affinity import Affinity
 from repro.cpu.machine import CpuMachine, CpuRunContext
-from repro.mem.layout import PrivateArrayElement, SharedScalar
 from repro.openmp import requests as rq
+from repro.openmp.fastpath import (
+    ATOMIC_CAPTURE,
+    ATOMIC_READ,
+    ATOMIC_UPDATE,
+    ATOMIC_WRITE,
+    FLUSH,
+    PLAIN_READ,
+    PLAIN_UPDATE,
+    make_cost_model,
+    uniform_handlers,
+)
 from repro.openmp.race import AccessKind, RaceDetector, RaceReport
 from repro.openmp.trace import CpuTrace
 from repro.obs import attach_timeline
 from repro.obs import span as obs_span
+from repro.obs.metrics import _SUBSCRIBER as _metric_subscriber
 from repro.obs.metrics import counter as _counter
 
-#: Regions executed by the scalar reference scheduler (observability;
-#: the fast scheduler's counterpart is ``interp.omp.regions_fast``).
+# Observability counters (docs/observability.md), accumulated per region
+# and flushed once at region end, so ``uniform_rounds + fallback_rounds
+# == rounds`` holds by construction.
+_C_UNIFORM = _counter("interp.omp.uniform_rounds")
+_C_FALLBACK = _counter("interp.omp.fallback_rounds")
+_C_ROUNDS = _counter("interp.omp.rounds")
+_C_REGIONS_FAST = _counter("interp.omp.regions_fast")
 _C_REGIONS_REFERENCE = _counter("interp.omp.regions_reference")
+
+#: Walk item: the thread's generator finished during the gather.
+_STOP = object()
+
+#: Walk item: nothing was gathered for the thread this round.
+_NOTHING = object()
+
+_CRITICAL = PrimitiveKind.OMP_CRITICAL_UPDATE
+_BARRIER = PrimitiveKind.OMP_BARRIER
+_LOCK_ACQUIRE = PrimitiveKind.OMP_LOCK_ACQUIRE
+_LOCK_RELEASE = PrimitiveKind.OMP_LOCK_RELEASE
+
+#: Trace label of each op kind.
+_TRACE_LABELS = {kind: kind.value.removeprefix("omp_")
+                 for kind in PrimitiveKind}
 
 #: A thread body: generator function yielding requests.
 ThreadBody = Callable[["ThreadContext"], Generator]
@@ -168,10 +199,11 @@ class OpenMP:
             :class:`repro.common.errors.DataRaceError` on the first race).
         collect_races: Collect races into the result instead of raising.
         max_steps: Interpreter step budget (guards against runaway bodies).
-        fast: Force the batched fast scheduler on/off; ``None`` follows
-            the process default (fast unless ``SYNCPERF_ENGINE=reference``
-            or inside :func:`repro.core.engine.reference_engine`).  Both
-            schedulers run the race detector and report the same races.
+        fast: Force content replay and batched uniform rounds on/off;
+            ``None`` follows the process default (fast unless
+            ``SYNCPERF_ENGINE=reference`` or inside
+            :func:`repro.core.engine.reference_engine`).  Both settings
+            run the race detector and report the same races.
         lint: Opt-in static sanitizer check before each region.
             ``True`` or ``"error"`` raises
             :class:`~repro.common.errors.SanitizerError` when
@@ -212,12 +244,11 @@ class OpenMP:
                  trace: bool = False) -> ParallelResult:
         """Run ``body`` on every thread of the team to completion.
 
-        With ``fast`` enabled the region goes to the dispatcher's content
-        replay, then to the batched fast scheduler
-        (:func:`repro.openmp.fastpath.parallel_fast`), which feeds the
-        race detector when one is active; the scalar reference scheduler
-        below is authoritative and produces identical results, races
-        included.
+        With ``fast`` enabled the region first goes to the dispatcher's
+        content replay; a miss, and every ``fast=False`` region, runs
+        the one region loop (:meth:`_run_region`), batched on a ``fast``
+        runtime and gather-free otherwise.  Both settings produce
+        identical results, race reports included.
 
         Args:
             body: Generator function over a :class:`ThreadContext`.
@@ -235,101 +266,89 @@ class OpenMP:
             lint_kernel(body, "openmp", self.lint)
         with obs_span("omp.parallel", n_threads=self.n_threads,
                       path="fast" if self.fast else "reference"):
-            if self.fast:
-                # The dispatcher memoizes whole regions per (body,
-                # machine, config, memory-contents) signature; replay
-                # hits skip the scheduler entirely.  Identical replay
-                # requires identical inputs, so a trace request opts
-                # out (the timeline object cannot be replayed).
-                ticket = None
-                if not trace:
-                    from repro.compiler.dispatcher import DISPATCHER
-                    ticket = DISPATCHER.begin_omp(self, body, shared)
-                result = ticket.replay() if ticket is not None else None
-                if result is None:
-                    from repro.openmp.fastpath import parallel_fast
-                    result = parallel_fast(self, body, shared, trace)
-                if ticket is not None:
-                    ticket.record(result)
-            else:
-                result = self._parallel_reference(body, shared, trace)
+            # The dispatcher memoizes whole regions per (body, machine,
+            # config, memory-contents) signature; replay hits skip the
+            # region loop entirely.  Identical replay requires identical
+            # inputs, so a trace request opts out (the timeline object
+            # cannot be replayed).
+            ticket = None
+            if self.fast and not trace:
+                from repro.compiler.dispatcher import DISPATCHER
+                ticket = DISPATCHER.begin_omp(self, body, shared)
+            result = ticket.replay() if ticket is not None else None
+            if result is None:
+                result = self._run_region(body, shared, trace)
+            if ticket is not None:
+                ticket.record(result)
         if result.trace is not None:
             attach_timeline("openmp", result.trace, "ns")
         return result
 
-    def _parallel_reference(self, body: ThreadBody,
-                            shared: Mapping[str, np.ndarray] | None = None,
-                            trace: bool = False) -> ParallelResult:
-        """The scalar reference scheduler (authoritative semantics)."""
-        _C_REGIONS_REFERENCE.add(1)
+    def _run_region(self, body: ThreadBody,
+                    shared: Mapping[str, np.ndarray] | None,
+                    trace: bool) -> ParallelResult:
+        """Run one region to completion: the one OpenMP region loop.
+
+        Each round does one of two things.  On a batched runtime
+        (``fast``) it gathers one send per runnable thread, and a round
+        whose requests share one class with a handler in
+        :mod:`repro.openmp.fastpath` (no thread finished, none waits on
+        a lock) runs through that handler.  Every other round walks the
+        thread slots in id order: lock-wait turns, threads that
+        finished, barriers, singles and locks, and every other request
+        through the per-request oracle :meth:`_execute`.  A
+        ``fast=False`` runtime gathers nothing, so its walk sends each
+        thread itself: the scalar reference sweep.
+        """
+        n = self.n_threads
         memory: dict[str, np.ndarray] = dict(shared or {})
         trace_obj = CpuTrace() if trace else None
         detector = RaceDetector(raise_on_race=not self.collect_races) \
             if self.detect_races else None
-        contexts = [ThreadContext(tid, self.n_threads)
-                    for tid in range(self.n_threads)]
-        gens = [body(tc) for tc in contexts]
-        clocks = [0.0] * self.n_threads
-        pending_value: list[object] = [None] * self.n_threads
+        region = _Region(self, memory, trace_obj, detector)
+        clocks = region.clocks
+        pending = region.pending
+        held_locks = region.held_locks
+        drain = region.drain
+        sends = [body(ThreadContext(tid, n)).send for tid in range(n)]
         # Arrival key at a blocking construct: ("barrier", "") or
         # ("single", name); None while running.
-        arrival: list[tuple[str, str] | None] = [None] * self.n_threads
-        single_requests: list[rq.Single | None] = [None] * self.n_threads
-        done = [False] * self.n_threads
+        arrival: list[tuple[str, str] | None] = [None] * n
+        single_requests: list[rq.Single | None] = [None] * n
+        done = [False] * n
         barriers = 0
         budget = StepBudget(self.max_steps, hint="runaway thread body?")
-        # Which threads touched each location (for contention costing).
-        location_threads: dict[tuple[str, int], set[int]] = {}
-        # Lock runtime state.
+        charge_step = budget.charge
         lock_holder: dict[str, int] = {}
-        held_locks: list[set[str]] = [set() for _ in range(self.n_threads)]
         lock_wait: dict[int, str] = {}
-        # Per-thread store buffers (relaxed consistency): plain stores sit
-        # here until the thread reaches a flush point.
-        store_buffers: list[dict[tuple[str, int], object]] = \
-            [{} for _ in range(self.n_threads)]
+        handler_of = uniform_handlers(region).get if self.fast else None
 
-        def drain(tid: int) -> None:
-            """Publish a thread's buffered stores to shared memory."""
-            for (var, idx), value in store_buffers[tid].items():
-                memory[var].reshape(-1)[idx] = value
-            store_buffers[tid].clear()
-
-        def charge(tid: int, op: Op) -> None:
-            cost = self.machine.op_cost(op, self._ctx)
-            if trace_obj is not None and cost > 0:
-                label = op.kind.value.removeprefix("omp_")
-                trace_obj.add(tid, label, clocks[tid],
-                              clocks[tid] + cost)
-            clocks[tid] += cost
+        def acquire(tid: int, name: str) -> None:
+            lock_holder[name] = tid
+            held_locks[tid].add(name)
+            region.charge(tid, region.plain_cost(_LOCK_ACQUIRE),
+                          _LOCK_ACQUIRE)
 
         def release_arrivals() -> None:
             """All active threads arrived at the same construct: run a
             single's body if applicable, then synchronize clocks."""
             nonlocal barriers
             barriers += 1
-            keys = {arrival[t] for t in range(self.n_threads)
-                    if not done[t]}
+            keys = {arrival[t] for t in range(n) if not done[t]}
             assert len(keys) == 1
             key = keys.pop()
             assert key is not None
-            for t in range(self.n_threads):
+            for t in range(n):
                 drain(t)
             if key[0] == "single":
-                executor = min(t for t in range(self.n_threads)
-                               if not done[t])
+                executor = min(t for t in range(n) if not done[t])
                 request = single_requests[executor]
                 assert request is not None
-                for var, idx, is_write in request.touches:
-                    self._record(detector, executor, var, idx,
-                                 AccessKind.LOCKED_WRITE if is_write
-                                 else AccessKind.LOCKED_READ)
-                pending_value[executor] = request.func(memory)
-            barrier_cost = self.machine.op_cost(
-                Op(kind=PrimitiveKind.OMP_BARRIER), self._ctx)
+                region.record_touches(executor, request.touches)
+                pending[executor] = request.func(memory)
             arrive_time = max(clocks)
-            sync_time = arrive_time + barrier_cost
-            for t in range(self.n_threads):
+            sync_time = arrive_time + region.plain_cost(_BARRIER)
+            for t in range(n):
                 if trace_obj is not None:
                     if clocks[t] < arrive_time:
                         trace_obj.add(t, "wait", clocks[t], arrive_time)
@@ -339,87 +358,131 @@ class OpenMP:
                 single_requests[t] = None
             if detector is not None:
                 detector.barrier()
-            location_threads.clear()
+            region.location_threads.clear()
 
+        def handle(tid: int, request) -> None:
+            """One request through the scalar sweep's control logic."""
+            if isinstance(request, (rq.Barrier, rq.Single)):
+                if isinstance(request, rq.Single):
+                    arrival[tid] = ("single", request.name)
+                    single_requests[tid] = request
+                else:
+                    arrival[tid] = ("barrier", "")
+                if any(done):
+                    raise SimulationError(
+                        "barrier/single reached while some threads "
+                        "already finished the region; every thread "
+                        "must encounter the same constructs")
+                keys = {arrival[t] for t in range(n) if not done[t]}
+                if None not in keys:
+                    if len(keys) > 1:
+                        raise SimulationError(
+                            "threads blocked at different "
+                            f"synchronization constructs: {sorted(keys)}")
+                    release_arrivals()
+                return
+            if isinstance(request, rq.LockAcquire):
+                drain(tid)  # a lock operation is a flush point
+                if request.name in lock_holder:
+                    lock_wait[tid] = request.name
+                else:
+                    acquire(tid, request.name)
+                return
+            if isinstance(request, rq.LockRelease):
+                if lock_holder.get(request.name) != tid:
+                    raise SimulationError(
+                        f"thread {tid} released lock "
+                        f"{request.name!r} it does not hold")
+                drain(tid)  # publish the critical section's stores
+                del lock_holder[request.name]
+                held_locks[tid].discard(request.name)
+                region.charge(tid, region.plain_cost(_LOCK_RELEASE),
+                              _LOCK_RELEASE)
+                return
+            if region.relaxed and not isinstance(request,
+                                                 (rq.Read, rq.Write)):
+                # Flushes, atomics, and critical sections are flush
+                # points; plain accesses are not.
+                drain(tid)
+            pending[tid] = self._execute(region, request, tid)
+
+        nothing = [_NOTHING] * n
+        n_uniform = n_fallback = 0
         while not all(done):
+            items = nothing
+            if handler_of is not None:
+                # Gather: one send per runnable thread, the budget
+                # charged before each send as the scalar sweep does.
+                items = [_NOTHING] * n
+                tids: list[int] = []
+                reqs: list[object] = []
+                n_stop = 0
+                for tid in range(n):
+                    if done[tid] or arrival[tid] is not None \
+                            or tid in lock_wait:
+                        continue
+                    charge_step()
+                    try:
+                        request = sends[tid](pending[tid])
+                    except StopIteration:
+                        items[tid] = _STOP
+                        n_stop += 1
+                        continue
+                    pending[tid] = None
+                    items[tid] = request
+                    tids.append(tid)
+                    reqs.append(request)
+                if reqs and not n_stop and not lock_wait:
+                    cls = reqs[0].__class__
+                    handler = handler_of(cls)
+                    if handler is not None:
+                        for r in reqs:
+                            if r.__class__ is not cls:
+                                handler = None
+                                break
+                        if handler is not None:
+                            handler(tids, reqs)
+                            n_uniform += 1
+                            continue
+
+            # The walk: every thread slot in id order, acting on the
+            # gathered item, or sending the thread itself when nothing
+            # was gathered for it (always, on a fast=False runtime; after
+            # a release earlier in this walk unblocked it, otherwise).
+            n_fallback += 1
             progressed = False
-            for tid in range(self.n_threads):
-                if done[tid] or arrival[tid] is not None:
-                    continue
-                if tid in lock_wait:
-                    name = lock_wait[tid]
-                    if name in lock_holder:
-                        continue  # still held by someone else
-                    # The lock freed up: acquire and resume the thread.
-                    del lock_wait[tid]
-                    lock_holder[name] = tid
-                    held_locks[tid].add(name)
-                    charge(tid, Op(kind=PrimitiveKind.OMP_LOCK_ACQUIRE))
-                    progressed = True
-                    continue
-                budget.charge()
-                try:
-                    request = gens[tid].send(pending_value[tid])
-                except StopIteration:
-                    if held_locks[tid]:
-                        raise SimulationError(
-                            f"thread {tid} finished while holding "
-                            f"lock(s) {sorted(held_locks[tid])}")
-                    done[tid] = True
-                    progressed = True
-                    continue
-                pending_value[tid] = None
+            for tid in range(n):
+                item = items[tid]
+                if item is _NOTHING:
+                    if done[tid]:
+                        continue
+                    if tid in lock_wait:
+                        name = lock_wait[tid]
+                        if name in lock_holder:
+                            continue  # still held by someone else
+                        # The lock freed up: acquire and resume.
+                        del lock_wait[tid]
+                        acquire(tid, name)
+                        progressed = True
+                        continue
+                    if arrival[tid] is not None:
+                        continue
+                    charge_step()
+                    try:
+                        item = sends[tid](pending[tid])
+                    except StopIteration:
+                        item = _STOP
+                    else:
+                        pending[tid] = None
                 progressed = True
-                if isinstance(request, (rq.Barrier, rq.Single)):
-                    if isinstance(request, rq.Single):
-                        arrival[tid] = ("single", request.name)
-                        single_requests[tid] = request
-                    else:
-                        arrival[tid] = ("barrier", "")
-                    if any(done):
-                        raise SimulationError(
-                            "barrier/single reached while some threads "
-                            "already finished the region; every thread "
-                            "must encounter the same constructs")
-                    keys = {arrival[t] for t in range(self.n_threads)
-                            if not done[t]}
-                    if None not in keys:
-                        if len(keys) > 1:
-                            raise SimulationError(
-                                "threads blocked at different "
-                                f"synchronization constructs: "
-                                f"{sorted(keys)}")
-                        release_arrivals()
-                    continue
-                if isinstance(request, rq.LockAcquire):
-                    drain(tid)  # a lock operation is a flush point
-                    if request.name in lock_holder:
-                        lock_wait[tid] = request.name
-                    else:
-                        lock_holder[request.name] = tid
-                        held_locks[tid].add(request.name)
-                        charge(tid, Op(kind=PrimitiveKind.OMP_LOCK_ACQUIRE))
-                    continue
-                if isinstance(request, rq.LockRelease):
-                    if lock_holder.get(request.name) != tid:
-                        raise SimulationError(
-                            f"thread {tid} released lock "
-                            f"{request.name!r} it does not hold")
-                    drain(tid)  # publish the critical section's stores
-                    del lock_holder[request.name]
-                    held_locks[tid].discard(request.name)
-                    charge(tid, Op(kind=PrimitiveKind.OMP_LOCK_RELEASE))
-                    continue
-                if self.relaxed_consistency and not isinstance(
-                        request, (rq.Read, rq.Write)):
-                    # Flushes, atomics, and critical sections are flush
-                    # points; plain accesses are not.
-                    drain(tid)
-                buffer = store_buffers[tid] if self.relaxed_consistency \
-                    else None
-                pending_value[tid] = self._execute(
-                    request, tid, memory, detector, location_threads,
-                    charge, locked=bool(held_locks[tid]), buffer=buffer)
+                if item is not _STOP:
+                    handle(tid, item)
+                elif held_locks[tid]:
+                    raise SimulationError(
+                        f"thread {tid} finished while holding "
+                        f"lock(s) {sorted(held_locks[tid])}")
+                else:
+                    done[tid] = True
             if not progressed:
                 if lock_wait:
                     raise SimulationError(
@@ -429,12 +492,27 @@ class OpenMP:
                 raise SimulationError(
                     "deadlock: no thread can make progress")
 
+        regions = _C_REGIONS_FAST if self.fast else _C_REGIONS_REFERENCE
+        if _metric_subscriber[0] is None:
+            # No recorder: direct increments keep the per-region flush
+            # within the bench regression gate's noise floor.
+            regions.value += 1
+            _C_UNIFORM.value += n_uniform
+            _C_FALLBACK.value += n_fallback
+            _C_ROUNDS.value += n_uniform + n_fallback
+        else:
+            regions.add(1)
+            if n_uniform:
+                _C_UNIFORM.add(n_uniform)
+            if n_fallback:
+                _C_FALLBACK.add(n_fallback)
+            if n_uniform or n_fallback:
+                _C_ROUNDS.add(n_uniform + n_fallback)
         # Implicit barrier at region end: publish everything.
-        for t in range(self.n_threads):
+        for t in range(n):
             drain(t)
         elapsed = max(clocks) if clocks else 0.0
-        elapsed += self.machine.op_cost(
-            Op(kind=PrimitiveKind.OMP_BARRIER), self._ctx)
+        elapsed += region.plain_cost(_BARRIER)
         return ParallelResult(
             memory=memory,
             thread_times_ns=clocks,
@@ -447,125 +525,183 @@ class OpenMP:
 
     # ------------------------------------------------------------------ #
 
-    def _cost_target(self, var: str, idx: int, dtype,
-                     location_threads: dict[tuple[str, int], set[int]],
-                     tid: int):
-        """Classify a location for costing: contended scalar if several
-        threads have touched it this epoch, otherwise a private element on
-        its own line."""
-        touched = location_threads.setdefault((var, idx), set())
-        touched.add(tid)
-        if len(touched) > 1:
-            return SharedScalar(dtype)
-        line = self.machine.topology.line_bytes
-        return PrivateArrayElement(dtype, stride=line // dtype.size_bytes)
+    def _execute(self, region: "_Region", request, tid: int) -> object:
+        """Execute one non-barrier, non-lock request; returns the
+        produced value.  The per-request oracle: every request of a
+        round that no uniform handler runs comes here.
 
-    @staticmethod
-    def _dtype_of(request, memory: dict[str, np.ndarray], var: str):
-        if getattr(request, "dtype", None) is not None:
-            return request.dtype
-        arr = memory.get(var)
-        return INT if arr is None else dtype_of(arr.dtype)
-
-    def _execute(self, request, tid: int, memory: dict[str, np.ndarray],
-                 detector: RaceDetector | None,
-                 location_threads: dict[tuple[str, int], set[int]],
-                 charge, locked: bool = False,
-                 buffer: dict[tuple[str, int], object] | None = None
-                 ) -> object:
-        """Execute one non-barrier request; returns the produced value.
-
-        Args:
-            locked: The thread holds at least one lock, so its plain
-                accesses are lock-protected for the race detector.
-            buffer: The thread's store buffer under relaxed consistency
-                (plain writes land here; plain reads see it first).
+        A plain access of a thread holding a lock is lock-protected for
+        the race detector.  Under relaxed consistency a plain write
+        lands in the thread's store buffer, and a plain read sees that
+        buffer first.
         """
         if isinstance(request, rq.Flush):
-            charge(tid, Op(kind=PrimitiveKind.OMP_FLUSH))
+            region.charge(tid, region.plain_cost(FLUSH), FLUSH)
             return None
         if isinstance(request, rq.Critical):
-            return self._execute_critical(request, tid, memory, detector,
-                                          charge)
+            return self._execute_critical(region, request, tid)
         if not isinstance(request, rq.MemoryRequest):
             raise SimulationError(
                 f"thread {tid} yielded a non-request: {request!r}")
 
         var, idx = request.var, request.idx
-        if var not in memory:
-            raise SimulationError(
-                f"thread {tid} accessed undeclared shared variable {var!r}")
-        arr = memory[var]
-        if not 0 <= idx < arr.size:
-            raise SimulationError(
-                f"thread {tid} accessed {var}[{idx}] out of bounds "
-                f"(size {arr.size})")
-        dtype = self._dtype_of(request, memory, var)
-        target = self._cost_target(var, idx, dtype, location_threads, tid)
-        flat = arr.reshape(-1)
-
+        flat = region.validate(tid, var, idx)
+        dtype = getattr(request, "dtype", None)
+        if dtype is None:
+            dtype = region.dtype(var)
+        hot = region.contended(var, idx, tid)
+        locked = bool(region.held_locks[tid])
         # AtomicCapture extends AtomicUpdate; check the subclass first.
         if isinstance(request, rq.AtomicCapture):
-            self._record(detector, tid, var, idx, AccessKind.ATOMIC_WRITE)
-            charge(tid, Op(kind=PrimitiveKind.OMP_ATOMIC_CAPTURE,
-                           dtype=dtype, target=target))
-            old = flat[idx].item()
-            new = request.func(old)
-            flat[idx] = new
-            return old if request.capture_old else new
-        if isinstance(request, rq.AtomicUpdate):
-            self._record(detector, tid, var, idx, AccessKind.ATOMIC_WRITE)
-            charge(tid, Op(kind=PrimitiveKind.OMP_ATOMIC_UPDATE,
-                           dtype=dtype, target=target))
-            flat[idx] = request.func(flat[idx].item())
-            return None
-        if isinstance(request, rq.AtomicWrite):
-            self._record(detector, tid, var, idx, AccessKind.ATOMIC_WRITE)
-            charge(tid, Op(kind=PrimitiveKind.OMP_ATOMIC_WRITE,
-                           dtype=dtype, target=target))
-            flat[idx] = request.value
-            return None
-        if isinstance(request, rq.AtomicRead):
-            self._record(detector, tid, var, idx, AccessKind.ATOMIC_READ)
-            charge(tid, Op(kind=PrimitiveKind.OMP_ATOMIC_READ,
-                           dtype=dtype, target=target))
+            kind, access = ATOMIC_CAPTURE, AccessKind.ATOMIC_WRITE
+        elif isinstance(request, rq.AtomicUpdate):
+            kind, access = ATOMIC_UPDATE, AccessKind.ATOMIC_WRITE
+        elif isinstance(request, rq.AtomicWrite):
+            kind, access = ATOMIC_WRITE, AccessKind.ATOMIC_WRITE
+        elif isinstance(request, rq.AtomicRead):
+            kind, access = ATOMIC_READ, AccessKind.ATOMIC_READ
+        elif isinstance(request, rq.Write):
+            kind, access = PLAIN_UPDATE, AccessKind.LOCKED_WRITE \
+                if locked else AccessKind.PLAIN_WRITE
+        elif isinstance(request, rq.Read):
+            kind, access = PLAIN_READ, AccessKind.LOCKED_READ \
+                if locked else AccessKind.PLAIN_READ
+        else:
+            raise SimulationError(f"unknown request {request!r}")
+        if region.record is not None:
+            region.record(tid, var, idx, access)
+        region.charge(tid, region.mem_cost(kind, dtype, hot), kind)
+
+        buffer = region.store_buffers[tid] if region.relaxed else None
+        if kind is PLAIN_READ:
+            if buffer is not None and (var, idx) in buffer:
+                return buffer[(var, idx)]
             return flat[idx].item()
-        if isinstance(request, rq.Write):
-            self._record(detector, tid, var, idx,
-                         AccessKind.LOCKED_WRITE if locked
-                         else AccessKind.PLAIN_WRITE)
-            charge(tid, Op(kind=PrimitiveKind.PLAIN_UPDATE,
-                           dtype=dtype, target=target))
+        if kind is PLAIN_UPDATE:
             if buffer is not None:
                 buffer[(var, idx)] = request.value
             else:
                 flat[idx] = request.value
             return None
-        if isinstance(request, rq.Read):
-            self._record(detector, tid, var, idx,
-                         AccessKind.LOCKED_READ if locked
-                         else AccessKind.PLAIN_READ)
-            charge(tid, Op(kind=PrimitiveKind.PLAIN_READ,
-                           dtype=dtype, target=target))
-            if buffer is not None and (var, idx) in buffer:
-                return buffer[(var, idx)]
+        if kind is ATOMIC_READ:
             return flat[idx].item()
-        raise SimulationError(f"unknown request {request!r}")
+        if kind is ATOMIC_WRITE:
+            flat[idx] = request.value
+            return None
+        old = flat[idx].item()
+        new = request.func(old)
+        flat[idx] = new
+        if kind is ATOMIC_UPDATE:
+            return None
+        return old if request.capture_old else new
 
-    def _execute_critical(self, request: rq.Critical, tid: int,
-                          memory: dict[str, np.ndarray],
-                          detector: RaceDetector | None, charge) -> object:
+    def _execute_critical(self, region: "_Region", request: rq.Critical,
+                          tid: int) -> object:
         dtype = request.dtype or INT
-        charge(tid, Op(kind=PrimitiveKind.OMP_CRITICAL_UPDATE, dtype=dtype,
-                       target=SharedScalar(dtype)))
-        for var, idx, is_write in request.touches:
-            self._record(detector, tid, var, idx,
-                         AccessKind.LOCKED_WRITE if is_write
-                         else AccessKind.LOCKED_READ)
-        return request.func(memory)
+        region.charge(tid, region.mem_cost(_CRITICAL, dtype, True),
+                      _CRITICAL)
+        region.record_touches(tid, request.touches)
+        return request.func(region.memory)
 
-    @staticmethod
-    def _record(detector: RaceDetector | None, tid: int, var: str, idx: int,
-                kind: AccessKind) -> None:
-        if detector is not None:
-            detector.record(tid, var, idx, kind)
+
+class _Region:
+    """The state of one running parallel region.
+
+    Shared by the region loop (:meth:`OpenMP._run_region`), the
+    per-request oracle (:meth:`OpenMP._execute`) and the uniform-round
+    handlers (:func:`repro.openmp.fastpath.uniform_handlers`), so the
+    validation, contention, charging and store-buffer rules below each
+    have one definition.
+    """
+
+    __slots__ = ("memory", "clocks", "pending", "held_locks",
+                 "store_buffers", "relaxed", "record", "trace",
+                 "location_threads", "mem_cost", "plain_cost", "_flats",
+                 "_dtypes")
+
+    def __init__(self, omp: OpenMP, memory: dict[str, np.ndarray],
+                 trace: CpuTrace | None,
+                 detector: RaceDetector | None) -> None:
+        n = omp.n_threads
+        self.memory = memory
+        self.clocks = [0.0] * n
+        # The value sent into each thread's generator on its next step.
+        self.pending: list[object] = [None] * n
+        self.held_locks: list[set[str]] = [set() for _ in range(n)]
+        # Per-thread store buffers (relaxed consistency): plain stores
+        # sit here until the thread reaches a flush point.
+        self.store_buffers: list[dict[tuple[str, int], object]] = \
+            [{} for _ in range(n)]
+        self.relaxed = omp.relaxed_consistency
+        self.record = detector.record if detector is not None else None
+        self.trace = trace
+        # Which threads touched each location this epoch.
+        self.location_threads: dict[tuple[str, int], set[int]] = {}
+        self.mem_cost, self.plain_cost = make_cost_model(omp.machine,
+                                                         omp._ctx)
+        # Flat views and element types per variable: ``reshape(-1)``
+        # allocates a fresh view per call, and ``memory`` is never
+        # re-keyed mid-region.
+        self._flats: dict[str, np.ndarray] = {}
+        self._dtypes: dict[str, DataType] = {}
+
+    def validate(self, tid: int, var: str, idx: int) -> np.ndarray:
+        """The error contract of a memory access; returns the flat view
+        of ``var``."""
+        flat = self._flats.get(var)
+        if flat is None:
+            if var not in self.memory:
+                raise SimulationError(
+                    f"thread {tid} accessed undeclared shared variable "
+                    f"{var!r}")
+            flat = self._flats[var] = self.memory[var].reshape(-1)
+        if not 0 <= idx < flat.size:
+            raise SimulationError(
+                f"thread {tid} accessed {var}[{idx}] out of bounds "
+                f"(size {flat.size})")
+        return flat
+
+    def dtype(self, var: str) -> DataType:
+        """The element type a (validated) variable is priced as."""
+        dt = self._dtypes.get(var)
+        if dt is None:
+            dt = self._dtypes[var] = dtype_of(self.memory[var].dtype)
+        return dt
+
+    def contended(self, var: str, idx: int, tid: int) -> bool:
+        """Note ``tid``'s access to ``var[idx]``: the location prices as
+        a contended shared scalar once several threads touched it this
+        epoch, otherwise as a private element on its own line."""
+        touched = self.location_threads.get((var, idx))
+        if touched is None:
+            self.location_threads[(var, idx)] = {tid}
+            return False
+        touched.add(tid)
+        return len(touched) > 1
+
+    def charge(self, tid: int, cost: float, kind: PrimitiveKind) -> None:
+        """Advance ``tid``'s clock by an op's ``cost``, tracing it."""
+        clocks = self.clocks
+        if self.trace is not None and cost > 0:
+            self.trace.add(tid, _TRACE_LABELS[kind], clocks[tid],
+                           clocks[tid] + cost)
+        clocks[tid] += cost
+
+    def drain(self, tid: int) -> None:
+        """Publish a thread's buffered stores to shared memory."""
+        buf = self.store_buffers[tid]
+        if buf:
+            flats = self._flats
+            for (var, idx), value in buf.items():
+                flats[var][idx] = value
+            buf.clear()
+
+    def record_touches(self, tid: int,
+                       touches: tuple[tuple[str, int, bool], ...]) -> None:
+        """Feed a critical's or single's declared accesses to the race
+        detector, as lock-protected."""
+        if self.record is not None:
+            for var, idx, is_write in touches:
+                self.record(tid, var, idx,
+                            AccessKind.LOCKED_WRITE if is_write
+                            else AccessKind.LOCKED_READ)

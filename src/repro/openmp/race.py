@@ -79,11 +79,13 @@ def _conflicts(a: AccessKind, b: AccessKind) -> bool:
     return True
 
 
-#: For each access kind, the earlier kinds it races with (from another
-#: thread), built once from :func:`_conflicts`.  A tuple: membership is
-#: an identity scan, with no per-entry enum hashing or property calls.
-_CONFLICTS_WITH: dict[AccessKind, tuple[AccessKind, ...]] = {
-    kind: tuple(prev for prev in AccessKind if _conflicts(prev, kind))
+#: For each access kind's value, the earlier kinds it races with (from
+#: another thread), built once from :func:`_conflicts`.  Keyed by value
+#: because a lookup keyed by the member runs the Python-level
+#: ``Enum.__hash__``; a tuple, so membership is an identity scan with no
+#: per-entry enum hashing or property calls.
+_CONFLICTS_WITH: dict[str, tuple[AccessKind, ...]] = {
+    kind.value: tuple(prev for prev in AccessKind if _conflicts(prev, kind))
     for kind in AccessKind
 }
 
@@ -110,7 +112,7 @@ class RaceDetector:
         if history is None:
             self._accesses[key] = [(tid, kind)]
             return
-        conflicting = _CONFLICTS_WITH[kind]
+        conflicting = _CONFLICTS_WITH[kind._value_]
         for prev_tid, prev_kind in history:
             if prev_tid != tid and prev_kind in conflicting:
                 report = RaceReport(var=var, idx=idx,

@@ -60,7 +60,7 @@ def cpu_histogram(machine: CpuMachine, data: np.ndarray, n_bins: int,
 
     Args:
         detect_races: Run the race detector (the default).  The batched
-            fast scheduler runs either way; turning detection off only
+            uniform rounds run either way; turning detection off only
             drops the detector's bookkeeping (the benchmark suite does
             this to time the scheduler alone).
     """

@@ -141,7 +141,7 @@ def cpu_prefix_sum(machine: CpuMachine, data: np.ndarray,
 
     Args:
         detect_races: Run the race detector (the default).  The batched
-            fast scheduler runs either way; turning detection off only
+            uniform rounds run either way; turning detection off only
             drops the detector's bookkeeping (the benchmark suite does
             this to time the scheduler alone).
     """

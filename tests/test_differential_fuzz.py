@@ -439,7 +439,7 @@ def _make_omp_body(program):
     return body
 
 
-def _run_omp(machine, program, n_threads, fast):
+def _run_omp(machine, program, n_threads, fast, trace=False):
     body = _make_omp_body(program)
     omp = OpenMP(machine, n_threads=n_threads, detect_races=False,
                  fast=fast)
@@ -449,20 +449,25 @@ def _run_omp(machine, program, n_threads, fast):
                 "b": (np.arange(16, dtype=np.int64) * 7) % 31,
                 "acc": np.zeros(4, np.int64),
                 "c": np.zeros(1, np.int64),
-                "out": np.zeros(n_threads, np.int64)})
+                "out": np.zeros(n_threads, np.int64)},
+        trace=trace)
 
 
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
 def test_openmp_fast_path_matches_reference(quiet_cpu, seed):
+    """Traced, so the cost and label each uniform-round handler charges
+    per request are compared event by event against the per-request
+    oracle (a traced region skips content replay)."""
     rng = random.Random(2000 + seed)
     program = _gen_omp_ops(rng)
     n_threads = rng.choice((2, 4))
-    fast = _run_omp(quiet_cpu, program, n_threads, fast=True)
-    ref = _run_omp(quiet_cpu, program, n_threads, fast=False)
+    fast = _run_omp(quiet_cpu, program, n_threads, fast=True, trace=True)
+    ref = _run_omp(quiet_cpu, program, n_threads, fast=False, trace=True)
     assert fast.elapsed_ns == ref.elapsed_ns, f"seed {seed}"
     assert fast.thread_times_ns == ref.thread_times_ns, f"seed {seed}"
     assert fast.barriers == ref.barriers, f"seed {seed}"
     assert fast.requests == ref.requests, f"seed {seed}"
+    assert fast.trace.events == ref.trace.events, f"seed {seed}"
     assert set(fast.memory) == set(ref.memory)
     for name in ref.memory:
         assert fast.memory[name].tobytes() == \

@@ -1,12 +1,14 @@
 """The batched interpreter fast paths must mirror the scalar reference.
 
 See the "Interpreter fast path" section of ``docs/performance.md``.
-The CUDA block scheduler runs a uniform warp pass through the batched
-handlers of :mod:`repro.cuda.fastpath` when ``fast`` is on, and through
-the scalar pass semantics of :class:`repro.cuda.interpreter.Cuda`
-otherwise; OpenMP keeps the scalar loop of
-:class:`repro.openmp.interpreter.OpenMP` next to the round-batched
-scheduler of :mod:`repro.openmp.fastpath`.  Both settings must agree
+Each dialect has one scheduler with two executors.  The CUDA block
+scheduler runs a uniform warp pass through the batched handlers of
+:mod:`repro.cuda.fastpath` when ``fast`` is on, and through the scalar
+pass semantics of :class:`repro.cuda.interpreter.Cuda` otherwise.  The
+OpenMP region loop runs a uniform round through the handlers of
+:mod:`repro.openmp.fastpath` when ``fast`` is on, and every other round
+through the per-request oracle of
+:class:`repro.openmp.interpreter.OpenMP`.  Both settings must agree
 exactly — same memory bytes, same modeled times, same stats, same trace
 events, same race reports, same raised errors.  Any divergence here is
 a correctness bug, never an acceptable approximation.
@@ -19,7 +21,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 import pytest
 
-import repro.openmp.fastpath as omp_fastpath
 from repro.common.errors import SimulationError
 from repro.compiler.dispatcher import dispatch_disabled
 from repro.core.engine import reference_engine
@@ -330,6 +331,61 @@ def _parallel_both(machine, body, make_shared, n_threads=4, trace=True,
     return fastr
 
 
+def _undeclared(tc):
+    yield tc.read("missing", tc.tid)
+
+
+def _out_of_bounds(tc):
+    yield tc.atomic_update("x", tc.tid * 2, lambda v: v + 1)
+
+
+def _unheld_release(tc):
+    yield tc.atomic_write("x", tc.tid, 1)
+    if tc.tid == 2:
+        yield tc.lock_release("l")
+
+
+def _finish_holding(tc):
+    yield tc.lock_acquire(f"l{tc.tid}")
+
+
+def _barrier_after_finish(tc):
+    if tc.tid != 0:
+        yield tc.barrier()
+
+
+def _different_constructs(tc):
+    if tc.tid % 2:
+        yield tc.single(lambda mem: None)
+    else:
+        yield tc.barrier()
+
+
+def _lock_deadlock(tc):
+    yield tc.lock_acquire("a" if tc.tid == 0 else "b")
+    yield tc.barrier()
+    yield tc.lock_acquire("b" if tc.tid == 0 else "a")
+
+
+def _non_request(tc):
+    yield tc.flush() if tc.tid else 42
+
+
+#: Every reachable region error: body, and a fragment of its message.
+_ERROR_CASES = {
+    "undeclared": (_undeclared, "undeclared shared variable 'missing'"),
+    "out_of_bounds": (_out_of_bounds, r"x\[4\] out of bounds"),
+    "unheld_release": (_unheld_release, "released lock 'l'"),
+    "finish_holding": (_finish_holding, r"finished while holding"),
+    "barrier_after_finish": (_barrier_after_finish,
+                             "some threads already finished"),
+    "different_constructs": (_different_constructs,
+                             "different synchronization constructs"),
+    "lock_deadlock": (_lock_deadlock, "lock deadlock"),
+    "non_request": (_non_request, "yielded a non-request: 42"),
+}
+
+
 class TestOpenMPEquivalence:
     def test_uniform_atomic_body_batches(self, quiet_cpu):
         """The canonical contended-update loop takes uniform rounds."""
@@ -338,21 +394,21 @@ class TestOpenMPEquivalence:
                 yield tc.atomic_update("acc", (tc.tid + k) % 4,
                                        lambda v: v + 1)
 
-        before = omp_fastpath.UNIFORM_ROUNDS
+        before = counter_value("interp.omp.uniform_rounds")
         result = _parallel_both(
             quiet_cpu, body, lambda: {"acc": np.zeros(4, np.int64)})
-        assert omp_fastpath.UNIFORM_ROUNDS > before
+        assert counter_value("interp.omp.uniform_rounds") > before
         assert result.memory["acc"].sum() == 80
 
     def test_reference_path_never_batches(self, quiet_cpu):
         def body(tc):
             yield tc.atomic_write("x", tc.tid, 1)
 
-        before = omp_fastpath.UNIFORM_ROUNDS
+        before = counter_value("interp.omp.uniform_rounds")
         OpenMP(quiet_cpu, n_threads=4, detect_races=False,
                fast=False).parallel(
             body, shared={"x": np.zeros(4, np.int64)})
-        assert omp_fastpath.UNIFORM_ROUNDS == before
+        assert counter_value("interp.omp.uniform_rounds") == before
 
     def test_race_detection_runs_batched(self, quiet_cpu):
         """A detecting interpreter takes the batched scheduler, which
@@ -465,6 +521,48 @@ class TestOpenMPEquivalence:
                          max_steps=50, fast=fast)
             with pytest.raises(SimulationError, match="step budget"):
                 omp.parallel(body, shared={"x": np.zeros(1, np.int64)})
+
+    @pytest.mark.parametrize("case", sorted(_ERROR_CASES))
+    def test_error_messages_match(self, quiet_cpu, case):
+        """Each region error carries the same message on both settings
+        (the uniform handlers raise the validation errors themselves)."""
+        body, fragment = _ERROR_CASES[case]
+        messages = []
+        for fast in (True, False):
+            omp = OpenMP(quiet_cpu, n_threads=4, detect_races=False,
+                         fast=fast)
+            with dispatch_disabled(), \
+                    pytest.raises(SimulationError, match=fragment) as info:
+                omp.parallel(body, shared={"x": np.zeros(4, np.int64)})
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_round_counters_reconcile(self, quiet_cpu, fast):
+        """Rounds count on both settings; every round of a fast=False
+        region is a fallback round."""
+        def body(tc):
+            for k in range(6):
+                yield tc.atomic_update("x", k % 4, lambda v: v + 1)
+            yield tc.barrier()
+            yield tc.lock_acquire("l")
+            yield tc.lock_release("l")
+
+        names = ("interp.omp.rounds", "interp.omp.uniform_rounds",
+                 "interp.omp.fallback_rounds", "interp.omp.regions_fast",
+                 "interp.omp.regions_reference")
+        before = {name: counter_value(name) for name in names}
+        with dispatch_disabled():
+            OpenMP(quiet_cpu, n_threads=4, fast=fast).parallel(
+                body, shared={"x": np.zeros(4, np.int64)})
+        delta = {name[len("interp.omp."):]: counter_value(name) -
+                 before[name] for name in names}
+        assert delta["rounds"] > 0
+        assert delta["uniform_rounds"] + delta["fallback_rounds"] == \
+            delta["rounds"]
+        assert (delta["uniform_rounds"] > 0) == fast
+        assert delta["regions_fast" if fast else "regions_reference"] == 1
+        assert delta["regions_reference" if fast else "regions_fast"] == 0
 
 
 class TestCpuWorkloads:

@@ -68,7 +68,7 @@ def test_conflict_table_matches_definition(first, second):
     """The detector's per-kind table is derived from ``_conflicts``,
     the single definition, and ``record`` agrees with it."""
     expected = _conflicts(first, second)
-    assert (first in _CONFLICTS_WITH[second]) == expected
+    assert (first in _CONFLICTS_WITH[second.value]) == expected
     d = RaceDetector(raise_on_race=False)
     d.record(0, "x", 0, first)
     d.record(1, "x", 0, second)
