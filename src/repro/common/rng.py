@@ -262,7 +262,6 @@ class RngStreamPool:
     _TOKEN_CACHE_MAX = 16384
 
     def __init__(self) -> None:
-        self._states: dict[tuple[str, int], tuple[int, int]] = {}
         #: Point-level store: (label prefix, seed) -> one reseed token
         #: per run, so the per-run cost is a list index instead of
         #: hashing a fresh label string.
@@ -308,19 +307,6 @@ class RngStreamPool:
         return self._compatible
 
     # ------------------------------ priming ---------------------------- #
-
-    def prime(self, keys: list[tuple[str, int]]) -> None:
-        """Precompute the PCG64 states for a batch of (label, seed) keys."""
-        if self._compatible is None:
-            self._check()
-        if not self._compatible:
-            return
-        fresh = [k for k in keys if k not in self._states]
-        if not fresh:
-            return
-        entropies = [mix_label_seed(label, seed) for label, seed in fresh]
-        for key, state in zip(fresh, seed_states_batch(entropies)):
-            self._states[key] = state
 
     def prime_points(self, point_keys: list[tuple[str, int, int]]) -> None:
         """Precompute per-run streams for a batch of sweep points.
@@ -430,22 +416,6 @@ class RngStreamPool:
         if self._state_mv is None:
             return None
         return self._state_mv, self._wrap_mv
-
-    def get(self, label: str, seed: int) -> np.random.Generator | None:
-        """A generator for a primed stream, or ``None`` if unprimed.
-
-        The returned generator is the pool's shared instance reseeded to
-        the exact state ``default_rng(mix_label_seed(label, seed))``
-        starts from; it stays valid until the next :meth:`get`.
-        """
-        pair = self._states.pop((label, seed), None)
-        if pair is None:
-            return None
-        inner = self._inner
-        inner["state"] = pair[0]
-        inner["inc"] = pair[1]
-        self._bit_gen.state = self._template
-        return self._gen
 
     # ----------------------------- self-check -------------------------- #
 

@@ -31,35 +31,43 @@ Robustness extensions (beyond the paper, for fault-injected campaigns):
   :func:`repro.faults.use_faults`), every engine transparently wraps its
   machine in a :class:`repro.faults.FaultyMachine`.
 
-Fast path
----------
+One kernel, four point routes
+-----------------------------
 
-Two implementations of the protocol kernel coexist:
+:meth:`MeasurementEngine._run_protocol` is the one protocol kernel.  Each
+point takes one of four routes:
 
-* :meth:`MeasurementEngine._run_protocol_reference` — the original
-  scalar kernel, retained verbatim as the authoritative semantics (one
-  ``make_rng`` per run, one ``run_noise`` per sample).
-* :meth:`MeasurementEngine._run_protocol_fast` — the default: per-run
-  streams come from a primed :class:`~repro.common.rng.RngStreamPool`
-  (sweep drivers call :meth:`MeasurementEngine.prime` once per series),
-  each attempt draws its baseline/test noise pair through the machine's
-  ``run_noise_batch``, and machines that declare a body ``noise_free``
-  (zero-jitter CPUs, on-device GPU primitives) skip sampling entirely.
+* *unrecordable* — the optimizer removed every measured op;
+* *closed form* — a silent point (the machine declares both bodies
+  ``noise_free``) with no budget: every attempt reproduces the costs,
+  so the medians are the costs themselves;
+* *raw-state hot loop* — a point primed with raw-byte tokens (sweep
+  drivers call :meth:`MeasurementEngine.prime` once per series), with a
+  compiled noise sampler and no budget: reseeding is two byte-view
+  writes into the pooled :class:`~repro.common.rng.RngStreamPool`
+  generator and each attempt is one sampler call;
+* *general loop* — everything else: per-run streams from the pool's
+  reseed or from :func:`~repro.common.rng.make_rng`, attempt and time
+  budgets, and per-sample ``run_noise`` calls where there is no
+  compiled sampler (fault-wrapped machines and ``run_noise``
+  overrides, where an injected fault may abort between the two draws).
 
-The fast path is bit-identical to the reference path by construction:
-pool streams replicate ``default_rng`` exactly (self-checked at runtime)
-and batch draws consume the stream in the same order as scalar draws.
-``tests/test_engine_fastpath.py`` asserts equality result-by-result, and
-the golden corpus at ``results/reference/`` is the end-to-end oracle.
-Select the path per engine with ``MeasurementEngine(..., fast=...)``, per
-process with ``SYNCPERF_ENGINE=reference``, or per block with
+A ``fast=False`` engine has no pool, never takes the closed form and
+never asks for a compiled sampler, so every point runs the general loop
+with one ``make_rng`` per run and one ``run_noise`` per sample: that is
+the authoritative scalar semantics.  Pool streams replicate
+``default_rng`` exactly (self-checked at runtime) and compiled samplers
+consume the stream in the same order as scalar draws, so both settings
+are bit-identical; ``tests/test_engine_fastpath.py`` asserts equality
+result-by-result, and the golden corpus at ``results/reference/`` is the
+end-to-end oracle.  Select the setting per engine with
+``MeasurementEngine(..., fast=...)`` or per block with
 :func:`reference_engine` (used by ``python -m repro.bench`` to time one
 against the other).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -81,9 +89,9 @@ from repro.obs.metrics import counter as _counter
 _ZERO8 = b"\x00" * 8
 
 # Observability counters (see docs/observability.md).  Process-wide and
-# always on; the protocol kernels accumulate locally and flush once per
-# protocol execution through _flush_protocol_counters so the hot loops
-# never pay per-attempt metric calls.
+# always on; the protocol kernel accumulates locally and flushes once per
+# protocol execution through _flush_protocol_counters so its loops never
+# pay per-attempt metric calls.
 _C_MEASUREMENTS = _counter("engine.measurements")
 _C_PATH_FAST = _counter("engine.path.fast")
 _C_PATH_REFERENCE = _counter("engine.path.reference")
@@ -134,10 +142,9 @@ def _flush_protocol_counters(fast: bool, attempts: int = 0,
         _C_UNRECORDABLE.add(1)
 
 
-#: Process-wide default for the engine path; flipped by the
-#: ``SYNCPERF_ENGINE=reference`` environment variable or, temporarily, by
+#: Process-wide default for the engine setting; flipped temporarily by
 #: :func:`reference_engine`.
-_FAST_DEFAULT = os.environ.get("SYNCPERF_ENGINE", "").lower() != "reference"
+_FAST_DEFAULT = True
 
 
 def fast_path_default() -> bool:
@@ -158,8 +165,8 @@ def _median(values: list[float]) -> float:
 
 @contextmanager
 def reference_engine():
-    """Force engines created inside the block onto the scalar reference
-    path (used by the benchmark suite for fast-vs-reference timings)."""
+    """Create engines inside the block with ``fast=False`` (used by the
+    benchmark suite for fast-vs-reference timings)."""
     global _FAST_DEFAULT
     previous = _FAST_DEFAULT
     _FAST_DEFAULT = False
@@ -175,9 +182,9 @@ class MeasurementEngine:
     Args:
         machine: CPU machine or GPU device (duck-typed).
         protocol: Measurement protocol (None = paper default).
-        fast: Force the vectorized fast path on/off; ``None`` follows
-            the process default (fast unless ``SYNCPERF_ENGINE=reference``
-            or inside :func:`reference_engine`).
+        fast: ``False`` runs every point through the general loop with
+            scalar draws (the oracle setting); ``None`` follows the
+            process default (fast unless inside :func:`reference_engine`).
     """
 
     def __init__(self, machine: object,
@@ -241,13 +248,6 @@ class MeasurementEngine:
                       path="fast" if self.fast else "reference"):
             return self._run_protocol(self.protocol, spec, ctx, label)
 
-    def _run_protocol(self, proto: MeasurementProtocol,
-                      spec: MeasurementSpec, ctx: object,
-                      label: str) -> MeasurementResult:
-        if self.fast:
-            return self._run_protocol_fast(proto, spec, ctx, label)
-        return self._run_protocol_reference(proto, spec, ctx, label)
-
     # --------------------------- shared pieces ------------------------- #
 
     def _unrecordable(self, spec: MeasurementSpec,
@@ -298,101 +298,20 @@ class MeasurementEngine:
         cost_test = machine.body_cost(test_kept, ctx) + loop_overhead + cold
         return cost_baseline, cost_test
 
-    # ------------------------- reference kernel ------------------------ #
-
-    def _run_protocol_reference(self, proto: MeasurementProtocol,
-                                spec: MeasurementSpec, ctx: object,
-                                label: str) -> MeasurementResult:
-        """The original scalar protocol kernel (authoritative semantics)."""
-        machine = self.machine
-        baseline_kept, test_kept = spec.surviving_bodies()
-        eliminated = tuple(op.kind.value for op in spec.eliminated_ops())
-        extra_ops = spec.extra_op_count()
-
-        if extra_ops == 0:
-            _flush_protocol_counters(False, unrecordable=True)
-            return self._unrecordable(spec, eliminated)
-
-        cost_baseline, cost_test = self._point_costs(
-            proto, baseline_kept, test_kept, ctx)
-
-        deadline = None
-        if proto.time_budget_s is not None:
-            deadline = time.monotonic() + proto.time_budget_s
-        attempts_left = proto.attempt_budget  # None = unlimited
-        # Budget checks hoisted out of the attempt loop when no budget is
-        # set: the common case must not poll time.monotonic() per attempt.
-        budgeted = attempts_left is not None or deadline is not None
-
-        baseline_times: list[float] = []
-        test_times: list[float] = []
-        valid_runs = 0
-        dropped_runs = 0
-        n_attempts = 0
-        n_retries = 0
-        fault_drops = 0
-        exhausted = False
-        for run in range(proto.n_runs):
-            rng = make_rng(
-                f"{machine.name}/{spec.name}/{label}/run{run}", proto.seed)
-            chosen: tuple[float, float, bool] | None = None
-            for _attempt in range(proto.max_attempts):
-                if budgeted:
-                    if attempts_left is not None and attempts_left <= 0:
-                        exhausted = True
-                        break
-                    if deadline is not None and \
-                            time.monotonic() > deadline:
-                        exhausted = True
-                        break
-                    if attempts_left is not None:
-                        attempts_left -= 1
-                n_attempts += 1
-                if _attempt:
-                    n_retries += 1
-                try:
-                    tb = max(cost_baseline + machine.run_noise(
-                        rng, ctx, baseline_kept, cost_baseline), 0.0)
-                    tt = max(cost_test + machine.run_noise(
-                        rng, ctx, test_kept, cost_test), 0.0)
-                except FaultInjectionError:
-                    # An injected dropped/hung measurement: no data from
-                    # this attempt; retry within the remaining budget.
-                    fault_drops += 1
-                    continue
-                chosen = (tb, tt, tt >= tb)
-                if tt >= tb:
-                    break
-            if chosen is None:
-                dropped_runs += 1
-                if exhausted:
-                    break  # remaining runs count invalid via n_runs
-                continue
-            baseline_times.append(chosen[0])
-            test_times.append(chosen[1])
-            valid_runs += chosen[2]
-
-        _flush_protocol_counters(False, attempts=n_attempts,
-                                 retries=n_retries, dropped=dropped_runs,
-                                 fault_drops=fault_drops)
-        if not baseline_times:
-            raise self._all_dropped_error(proto, spec, label)
-
-        return self._finalize(proto, spec, eliminated, baseline_times,
-                              test_times, valid_runs, dropped_runs,
-                              len(test_kept))
-
-    # ---------------------------- fast kernel -------------------------- #
+    # ----------------------------- the kernel -------------------------- #
 
     def _point_plan(self, proto: MeasurementProtocol,
                     spec: MeasurementSpec, ctx: object) -> tuple:
-        """The per-point constants of the fast kernel, memoized on the
-        context: kept bodies, eliminated ops, costs, the compiled noise
-        sampler, and whether the point is provably noise-free.  Every
-        entry is a pure function of (machine, spec, ctx) and the two
-        protocol fields that affect costs (unroll, n_warmup)."""
+        """The per-point constants of the kernel: kept bodies, eliminated
+        ops, costs, whether the point is provably noise-free, and the
+        machine's compiled noise sampler.  Every entry is a pure function
+        of (machine, spec, ctx) and the two protocol fields that affect
+        costs (unroll, n_warmup), so a fast engine memoizes the plan on
+        the context.  A ``fast=False`` engine recomputes it per point and
+        never asks for silence or a sampler."""
         machine = self.machine
-        cache = getattr(ctx, "_cost_cache", None)
+        fast = self.fast
+        cache = getattr(ctx, "_cost_cache", None) if fast else None
         key = None
         if cache is not None:
             key = ("plan", machine, spec, proto.unroll, proto.n_warmup)
@@ -403,38 +322,36 @@ class MeasurementEngine:
         eliminated = tuple(op.kind.value for op in removed)
         cost_baseline = cost_test = 0.0
         silent = False
-        sampler = bind = None
+        bind = None
         if extra_ops:
             cost_baseline, cost_test = self._point_costs(
                 proto, baseline_kept, test_kept, ctx)
+        if extra_ops and fast:
             noise_free = getattr(machine, "noise_free", None)
             silent = noise_free is not None and \
                 noise_free(baseline_kept) and noise_free(test_kept)
-            if not silent:
-                make_sampler = getattr(machine, "noise_sampler", None)
-                if make_sampler is not None:
-                    sampler = make_sampler(
-                        ctx, (baseline_kept, test_kept),
-                        (cost_baseline, cost_test))
-                if sampler is not None:
-                    bind = getattr(sampler, "bind", None)
+            make_sampler = getattr(machine, "noise_sampler", None)
+            if not silent and make_sampler is not None:
+                bind = make_sampler(ctx, (baseline_kept, test_kept),
+                                    (cost_baseline, cost_test))
         plan = (baseline_kept, test_kept, eliminated, extra_ops,
-                cost_baseline, cost_test, silent, sampler, bind)
+                cost_baseline, cost_test, silent, bind)
         if key is not None:
             cache[key] = plan
         return plan
 
-    def _run_protocol_fast(self, proto: MeasurementProtocol,
-                           spec: MeasurementSpec, ctx: object,
-                           label: str) -> MeasurementResult:
-        """Vectorized protocol kernel; bit-identical to the reference."""
+    def _run_protocol(self, proto: MeasurementProtocol,
+                      spec: MeasurementSpec, ctx: object,
+                      label: str) -> MeasurementResult:
+        """The protocol for one point, on one of the four routes of the
+        module docstring."""
         machine = self.machine
+        fast = self.fast
         (baseline_kept, test_kept, eliminated, extra_ops, cost_baseline,
-         cost_test, silent, sampler, bind) = \
-            self._point_plan(proto, spec, ctx)
+         cost_test, silent, bind) = self._point_plan(proto, spec, ctx)
 
         if extra_ops == 0:
-            _flush_protocol_counters(True, unrecordable=True)
+            _flush_protocol_counters(fast, unrecordable=True)
             return self._unrecordable(spec, eliminated)
 
         budgeted = proto.attempt_budget is not None or \
@@ -460,10 +377,8 @@ class MeasurementEngine:
         deadline = None
         if proto.time_budget_s is not None:
             deadline = time.monotonic() + proto.time_budget_s
-        attempts_left = proto.attempt_budget
+        attempts_left = proto.attempt_budget  # None = unlimited
 
-        batch = None if sampler is not None \
-            else getattr(machine, "run_noise_batch", None)
         pool = self._pool
         seed = proto.seed
         prefix = f"{machine.name}/{spec.name}/{label}/run"
@@ -474,14 +389,17 @@ class MeasurementEngine:
         if point is not None and len(point) != proto.n_runs:
             point = None
 
-        if point and bind is not None and not budgeted:
-            # Specialized hot loop: primed streams + compiled sampler +
-            # no budget polling.  No faults can fire here (a compiled
-            # sampler exists only for unwrapped, non-overridden
-            # machines), so every run keeps its last attempt, exactly as
-            # the reference kernel does.
+        if point and bind is not None and not budgeted and \
+                type(point[0]) is bytes:
+            # Raw-state hot loop.  Byte tokens come only from a pool with
+            # raw views, so reseeding is two byte-view writes into the
+            # one pooled generator the sampler is bound to.  No faults
+            # can fire here (a compiled sampler exists only for
+            # unwrapped, non-overridden machines), so every run keeps its
+            # last attempt, exactly as the general loop does.
             sample = bind(pool.generator)
-            views = pool.raw_views()
+            state_mv, wrap_mv = pool.raw_views()
+            zero8 = _ZERO8
             attempt_range = range(proto.max_attempts)
             baseline_times = []
             test_times = []
@@ -494,53 +412,27 @@ class MeasurementEngine:
             # run keeps its last attempt here, so total attempts is
             # n_runs + retries and retries only accrue when the first
             # attempt came back invalid (rare on quiet machines).
-            if views is not None and type(point[0]) is bytes:
-                # Raw-state tokens: reseeding is two byte-view writes.
-                state_mv, wrap_mv = views
-                zero8 = _ZERO8
-                for token in point:
-                    state_mv[:] = token
-                    wrap_mv[:] = zero8
-                    ok = False
-                    for _attempt in attempt_range:
-                        noise_b, noise_t = sample()
-                        tb = cost_baseline + noise_b
-                        if tb < 0.0:
-                            tb = 0.0
-                        tt = cost_test + noise_t
-                        if tt < 0.0:
-                            tt = 0.0
-                        if tt >= tb:
-                            ok = True
-                            break
-                    if _attempt:
-                        n_retries += _attempt
-                    append_b(tb)
-                    append_t(tt)
-                    if ok:
-                        valid_runs += 1
-            else:
-                reseed = pool.reseed
-                for token in point:
-                    reseed(token)
-                    ok = False
-                    for _attempt in attempt_range:
-                        noise_b, noise_t = sample()
-                        tb = cost_baseline + noise_b
-                        if tb < 0.0:
-                            tb = 0.0
-                        tt = cost_test + noise_t
-                        if tt < 0.0:
-                            tt = 0.0
-                        if tt >= tb:
-                            ok = True
-                            break
-                    if _attempt:
-                        n_retries += _attempt
-                    append_b(tb)
-                    append_t(tt)
-                    if ok:
-                        valid_runs += 1
+            for token in point:
+                state_mv[:] = token
+                wrap_mv[:] = zero8
+                ok = False
+                for _attempt in attempt_range:
+                    noise_b, noise_t = sample()
+                    tb = cost_baseline + noise_b
+                    if tb < 0.0:
+                        tb = 0.0
+                    tt = cost_test + noise_t
+                    if tt < 0.0:
+                        tt = 0.0
+                    if tt >= tb:
+                        ok = True
+                        break
+                if _attempt:
+                    n_retries += _attempt
+                append_b(tb)
+                append_t(tt)
+                if ok:
+                    valid_runs += 1
             if _metric_subscriber[0] is None:  # inlined counter flush
                 _C_MEASUREMENTS.value += 1
                 _C_PATH_FAST.value += 1
@@ -555,6 +447,8 @@ class MeasurementEngine:
                                   test_times, valid_runs, 0,
                                   len(test_kept))
 
+        # General loop.
+        run_noise = machine.run_noise
         baseline_times: list[float] = []
         test_times: list[float] = []
         valid_runs = 0
@@ -568,8 +462,11 @@ class MeasurementEngine:
                 rng = pool.reseed(point[run])
             else:
                 rng = make_rng(f"{prefix}{run}", seed)
+            sample = bind(rng) if bind is not None else None
             chosen: tuple[float, float, bool] | None = None
             for _attempt in range(proto.max_attempts):
+                # Budget checks are skipped wholesale when no budget is
+                # set: the common case must not poll time.monotonic().
                 if budgeted:
                     if attempts_left is not None and attempts_left <= 0:
                         exhausted = True
@@ -583,34 +480,22 @@ class MeasurementEngine:
                 n_attempts += 1
                 if _attempt:
                     n_retries += 1
-                if sampler is not None:
-                    # Compiled per-point sampler: one call per attempt
-                    # pair, stream-order identical to the two scalar
-                    # draws of the reference kernel.
-                    noise_b, noise_t = sampler(rng)
-                    tb = max(cost_baseline + noise_b, 0.0)
-                    tt = max(cost_test + noise_t, 0.0)
-                elif batch is not None:
-                    try:
-                        noise_b, noise_t = batch(
-                            rng, ctx, (baseline_kept, test_kept),
-                            (cost_baseline, cost_test))
-                    except FaultInjectionError:
-                        fault_drops += 1
-                        continue
-                    tb = max(cost_baseline + noise_b, 0.0)
-                    tt = max(cost_test + noise_t, 0.0)
-                else:
-                    # Fault-wrapped machines keep per-sample calls: an
-                    # injected fault may abort between the two draws.
-                    try:
-                        tb = max(cost_baseline + machine.run_noise(
-                            rng, ctx, baseline_kept, cost_baseline), 0.0)
-                        tt = max(cost_test + machine.run_noise(
-                            rng, ctx, test_kept, cost_test), 0.0)
-                    except FaultInjectionError:
-                        fault_drops += 1
-                        continue
+                try:
+                    if sample is not None:
+                        noise_b, noise_t = sample()
+                    else:
+                        # Per-sample calls: an injected fault may abort
+                        # between the two draws.
+                        noise_b = run_noise(rng, ctx, baseline_kept,
+                                            cost_baseline)
+                        noise_t = run_noise(rng, ctx, test_kept, cost_test)
+                except FaultInjectionError:
+                    # An injected dropped/hung measurement: no data from
+                    # this attempt; retry within the remaining budget.
+                    fault_drops += 1
+                    continue
+                tb = max(cost_baseline + noise_b, 0.0)
+                tt = max(cost_test + noise_t, 0.0)
                 ok = tt >= tb
                 chosen = (tb, tt, ok)
                 if ok:
@@ -618,13 +503,13 @@ class MeasurementEngine:
             if chosen is None:
                 dropped_runs += 1
                 if exhausted:
-                    break
+                    break  # remaining runs count invalid via n_runs
                 continue
             baseline_times.append(chosen[0])
             test_times.append(chosen[1])
             valid_runs += chosen[2]
 
-        _flush_protocol_counters(True, attempts=n_attempts,
+        _flush_protocol_counters(fast, attempts=n_attempts,
                                  retries=n_retries, dropped=dropped_runs,
                                  fault_drops=fault_drops)
         if not baseline_times:

@@ -61,50 +61,22 @@ class JitterModel:
                 self.spike_abs_ns + self.spike_rel * max(base_cost_ns, 0.0)))
         return noise
 
-    def sample_run_noise_batch(self, rng: np.random.Generator,
-                               hyperthreaded: bool,
-                               base_costs_ns: "list[float] | tuple[float, ...]"
-                               ) -> list[float]:
-        """Noise samples for several runs drawn from one stream.
-
-        Draw-order contract: consumes the stream exactly as ``size``
-        sequential :meth:`sample_run_noise` calls would (normal, uniform,
-        then a conditional exponential per sample), so a batched engine
-        stays bit-identical to the scalar reference path.  The win is the
-        hoisted attribute lookups and bound methods, not numpy batching —
-        the conditional spike draw forbids reordering the stream.
-        """
-        rel = self.rel_sigma + (self.ht_rel_sigma if hyperthreaded else 0.0)
-        abs_sigma = self.abs_sigma_ns
-        spike_prob = self.spike_prob
-        spike_rel = self.spike_rel
-        spike_abs = self.spike_abs_ns
-        normal = rng.normal
-        uniform = rng.random
-        exponential = rng.exponential
-        out: list[float] = []
-        for base_cost_ns in base_costs_ns:
-            base = base_cost_ns if base_cost_ns > 0.0 else 0.0
-            noise = float(normal(0.0, abs_sigma + rel * base))
-            if uniform() < spike_prob:
-                noise += float(exponential(spike_abs + spike_rel * base))
-            out.append(noise)
-        return out
-
     def make_sampler(self, hyperthreaded: bool,
-                     base_costs_ns: "tuple[float, ...] | list[float]"):
-        """Compile a per-attempt noise sampler for fixed base costs.
+                     base_costs_ns: "tuple[float, float]"):
+        """Compile the baseline/test noise pair for fixed base costs.
 
-        The engine's fast path samples the same (hyperthreaded, base
-        costs) configuration ``n_runs x attempts`` times per sweep point;
-        this precomputes each body's sigma and spike scale once and
-        returns a closure ``sample(rng) -> tuple[float, ...]`` holding
-        only the draws.  Stream consumption is identical to sequential
-        :meth:`sample_run_noise` calls.
+        The engine samples the same (hyperthreaded, base-cost pair)
+        configuration ``n_runs x attempts`` times per sweep point; this
+        precomputes each body's sigma and spike scale once and returns a
+        binder ``bind(rng) -> sample()``.  Each ``sample()`` call draws
+        one attempt's ``(noise_b, noise_t)``, consuming the stream
+        exactly as two sequential :meth:`sample_run_noise` calls would
+        (normal, uniform, then a conditional exponential per body: the
+        conditional spike draw forbids reordering).
 
-        Compiled samplers are memoized per (hyperthreaded, base costs):
-        claims re-measure the sweep's points, so the same configurations
-        recur within a campaign.
+        Binders are memoized per (hyperthreaded, base-cost pair): claims
+        re-measure the sweep's points, so the same configurations recur
+        within a campaign.
         """
         cache = self.__dict__.get("_sampler_cache")
         if cache is None:
@@ -116,58 +88,34 @@ class JitterModel:
             return cached
         rel = self.rel_sigma + (self.ht_rel_sigma if hyperthreaded else 0.0)
         spike_prob = self.spike_prob
-        params = []
-        for base_cost_ns in base_costs_ns:
-            base = base_cost_ns if base_cost_ns > 0.0 else 0.0
-            params.append((self.abs_sigma_ns + rel * base,
-                           self.spike_abs_ns + self.spike_rel * base))
-        if len(params) == 2:  # the engine's baseline/test pair
-            (sigma_b, spike_b), (sigma_t, spike_t) = params
+        base_b, base_t = (cost if cost > 0.0 else 0.0
+                          for cost in base_costs_ns)
+        sigma_b = self.abs_sigma_ns + rel * base_b
+        sigma_t = self.abs_sigma_ns + rel * base_t
+        spike_b = self.spike_abs_ns + self.spike_rel * base_b
+        spike_t = self.spike_abs_ns + self.spike_rel * base_t
 
-            def sample_pair(rng: np.random.Generator
-                            ) -> tuple[float, float]:
-                noise_b = float(rng.normal(0.0, sigma_b))
-                if rng.random() < spike_prob:
-                    noise_b += float(rng.exponential(spike_b))
-                noise_t = float(rng.normal(0.0, sigma_t))
-                if rng.random() < spike_prob:
-                    noise_t += float(rng.exponential(spike_t))
+        def bind(rng: np.random.Generator):
+            # Bind the stream's methods once: the engine's pooled
+            # generator is one object reseeded per run, so the bound
+            # methods stay valid across a whole sweep point.
+            normal = rng.normal
+            uniform = rng.random
+            exponential = rng.exponential
+
+            def sample() -> tuple[float, float]:
+                noise_b = float(normal(0.0, sigma_b))
+                if uniform() < spike_prob:
+                    noise_b += float(exponential(spike_b))
+                noise_t = float(normal(0.0, sigma_t))
+                if uniform() < spike_prob:
+                    noise_t += float(exponential(spike_t))
                 return noise_b, noise_t
 
-            def bind_pair(rng: np.random.Generator):
-                # Bind the stream's methods once: the engine's pooled
-                # generator is one object reseeded per run, so the bound
-                # methods stay valid across a whole sweep point.
-                normal = rng.normal
-                uniform = rng.random
-                exponential = rng.exponential
+            return sample
 
-                def sample() -> tuple[float, float]:
-                    noise_b = float(normal(0.0, sigma_b))
-                    if uniform() < spike_prob:
-                        noise_b += float(exponential(spike_b))
-                    noise_t = float(normal(0.0, sigma_t))
-                    if uniform() < spike_prob:
-                        noise_t += float(exponential(spike_t))
-                    return noise_b, noise_t
-
-                return sample
-
-            sample_pair.bind = bind_pair  # type: ignore[attr-defined]
-            cache[key] = sample_pair
-            return sample_pair
-
-        def sample(rng: np.random.Generator) -> tuple[float, ...]:
-            out = []
-            for sigma, spike in params:
-                noise = float(rng.normal(0.0, sigma))
-                if rng.random() < spike_prob:
-                    noise += float(rng.exponential(spike))
-                out.append(noise)
-            return tuple(out)
-
-        cache[key] = sample
-        return sample
+        cache[key] = bind
+        return bind
 
     @property
     def is_silent(self) -> bool:

@@ -169,33 +169,13 @@ class CpuMachine:
         return self.jitter.sample_run_noise(rng, ctx.hyperthreaded,
                                             base_cost)
 
-    def run_noise_batch(self, rng: np.random.Generator, ctx: CpuRunContext,
-                        bodies: tuple[tuple[Op, ...], ...],
-                        base_costs: tuple[float, ...]) -> list[float]:
-        """Batched :meth:`run_noise`, stream-identical to scalar calls.
-
-        The engine's fast path draws the baseline/test pair of one
-        attempt in a single call; the fault wrapper deliberately does not
-        implement this method (faults can abort mid-pair, so its stream
-        consumption must stay per-sample).
-
-        Subclasses overriding :meth:`run_noise` (adversarial test
-        machines) are routed through their override, sample by sample,
-        so the fast path preserves their semantics.
-        """
-        if type(self).run_noise is not CpuMachine.run_noise:
-            return [self.run_noise(rng, ctx, body, cost)
-                    for body, cost in zip(bodies, base_costs)]
-        del bodies
-        return self.jitter.sample_run_noise_batch(rng, ctx.hyperthreaded,
-                                                  base_costs)
-
     def noise_sampler(self, ctx: CpuRunContext,
-                      bodies: tuple[tuple[Op, ...], ...],
-                      base_costs: tuple[float, ...]):
-        """A compiled per-attempt sampler for one sweep point, or
-        ``None`` when the engine must fall back to per-sample calls
-        (subclasses overriding :meth:`run_noise`)."""
+                      bodies: tuple[tuple[Op, ...], tuple[Op, ...]],
+                      base_costs: tuple[float, float]):
+        """The compiled noise of one baseline/test pair: a binder
+        ``bind(rng) -> sample()`` whose calls are stream-identical to two
+        :meth:`run_noise` calls, or ``None`` when the engine must make
+        those calls itself (subclasses overriding :meth:`run_noise`)."""
         if type(self).run_noise is not CpuMachine.run_noise:
             return None
         del bodies

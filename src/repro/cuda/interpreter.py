@@ -347,9 +347,9 @@ class Cuda:
         device: The GPU to launch on.
         max_steps: Interpreter step budget per launch.
         fast: Force the batched fast dispatch on/off; ``None`` follows
-            the process default (fast unless ``SYNCPERF_ENGINE=reference``
-            or inside :func:`repro.core.engine.reference_engine`), the
-            same switch that governs the measurement engine.
+            the process default (fast unless inside
+            :func:`repro.core.engine.reference_engine`), the same switch
+            that governs the measurement engine.
         lint: Opt-in static sanitizer check before each launch.
             ``True`` or ``"error"`` raises
             :class:`~repro.common.errors.SanitizerError` when

@@ -40,6 +40,24 @@ class GpuRunContext:
                               default_factory=dict)
 
 
+def exponential_pair_sampler(noisy_b: bool, noisy_t: bool, scale: float):
+    """A binder ``bind(rng) -> sample()`` for a baseline/test pair whose
+    noisy bodies draw one exponential of ``scale`` each (in body order)
+    and whose quiet bodies draw nothing: stream-identical to the two
+    ``run_noise`` calls of a GPU machine."""
+
+    def bind(rng: np.random.Generator):
+        exponential = rng.exponential
+
+        def sample() -> tuple[float, float]:
+            return (float(exponential(scale)) if noisy_b else 0.0,
+                    float(exponential(scale)) if noisy_t else 0.0)
+
+        return sample
+
+    return bind
+
+
 class GpuDevice:
     """A simulated NVIDIA GPU (one of Table I's devices, or custom)."""
 
@@ -168,59 +186,20 @@ class GpuDevice:
             return float(rng.exponential(self._PCIE_NOISE_CYCLES))
         return 0.0
 
-    def run_noise_batch(self, rng: np.random.Generator, ctx: GpuRunContext,
-                        bodies: tuple[tuple[Op, ...], ...],
-                        base_costs: tuple[float, ...]) -> list[float]:
-        """Batched :meth:`run_noise`, stream-identical to scalar calls
-        (draws only for system-fence bodies, in body order).  Subclasses
-        overriding :meth:`run_noise` are routed through their override."""
-        if type(self).run_noise is not GpuDevice.run_noise:
-            return [self.run_noise(rng, ctx, body, cost)
-                    for body, cost in zip(bodies, base_costs)]
-        del ctx, base_costs
-        exponential = rng.exponential
-        return [float(exponential(self._PCIE_NOISE_CYCLES))
-                if any(op.kind is PrimitiveKind.THREADFENCE_SYSTEM
-                       for op in body) else 0.0
-                for body in bodies]
-
     def noise_sampler(self, ctx: GpuRunContext,
-                      bodies: tuple[tuple[Op, ...], ...],
-                      base_costs: tuple[float, ...]):
-        """A compiled per-attempt sampler for one sweep point, or
-        ``None`` when the engine must fall back to per-sample calls
-        (subclasses overriding :meth:`run_noise`)."""
+                      bodies: tuple[tuple[Op, ...], tuple[Op, ...]],
+                      base_costs: tuple[float, float]):
+        """The compiled noise of one baseline/test pair (see
+        :func:`exponential_pair_sampler`), or ``None`` when the engine
+        must call :meth:`run_noise` itself (subclasses overriding it)."""
         if type(self).run_noise is not GpuDevice.run_noise:
             return None
         del ctx, base_costs
-        noisy = tuple(any(op.kind is PrimitiveKind.THREADFENCE_SYSTEM
-                          for op in body) for body in bodies)
-        scale = self._PCIE_NOISE_CYCLES
-        if len(noisy) == 2:  # the engine's baseline/test pair
-            noisy_b, noisy_t = noisy
-
-            def sample_pair(rng: np.random.Generator
-                            ) -> tuple[float, float]:
-                return (float(rng.exponential(scale)) if noisy_b else 0.0,
-                        float(rng.exponential(scale)) if noisy_t else 0.0)
-
-            def bind_pair(rng: np.random.Generator):
-                exponential = rng.exponential
-
-                def sample() -> tuple[float, float]:
-                    return (float(exponential(scale)) if noisy_b else 0.0,
-                            float(exponential(scale)) if noisy_t else 0.0)
-
-                return sample
-
-            sample_pair.bind = bind_pair  # type: ignore[attr-defined]
-            return sample_pair
-
-        def sample(rng: np.random.Generator) -> tuple[float, ...]:
-            return tuple(float(rng.exponential(scale)) if flag else 0.0
-                         for flag in noisy)
-
-        return sample
+        noisy_b, noisy_t = (
+            any(op.kind is PrimitiveKind.THREADFENCE_SYSTEM for op in body)
+            for body in bodies)
+        return exponential_pair_sampler(noisy_b, noisy_t,
+                                        self._PCIE_NOISE_CYCLES)
 
     def noise_free(self, body: tuple[Op, ...] = ()) -> bool:
         """True when runs of ``body`` are exactly deterministic (every

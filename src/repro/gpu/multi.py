@@ -34,7 +34,7 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 from repro.common.units import throughput_from_cycles
 from repro.compiler.ops import ATOMIC_KINDS, Op, PrimitiveKind, Scope
-from repro.gpu.device import GpuDevice
+from repro.gpu.device import GpuDevice, exponential_pair_sampler
 from repro.gpu.interconnect import NVLINK3, InterconnectModel
 from repro.gpu.occupancy import OccupancyResult, occupancy
 from repro.gpu.spec import LaunchConfig
@@ -76,10 +76,8 @@ def _body_is_linked(body: tuple[Op, ...]) -> bool:
 class MultiGpu:
     """``n`` copies of one GPU preset joined by an interconnect.
 
-    Not a :class:`GpuDevice` subclass on purpose: the engine detects
-    ``run_noise`` overrides on subclasses and falls back to scalar
-    sampling, while this class implements the full batched machine
-    interface directly.
+    Not a :class:`GpuDevice` subclass on purpose: this class implements
+    the machine interface, compiled noise sampler included, directly.
     """
 
     time_unit = "cycles"
@@ -210,52 +208,25 @@ class MultiGpu:
             return float(rng.exponential(self._LINK_NOISE_CYCLES))
         return 0.0
 
-    def run_noise_batch(self, rng: np.random.Generator,
-                        ctx: MultiGpuRunContext,
-                        bodies: tuple[tuple[Op, ...], ...],
-                        base_costs: tuple[float, ...]) -> list[float]:
-        """Batched :meth:`run_noise`, stream-identical to scalar calls."""
-        del ctx, base_costs
-        exponential = rng.exponential
-        scale = self._LINK_NOISE_CYCLES
-        return [float(exponential(scale)) if _body_is_linked(body)
-                else 0.0 for body in bodies]
-
     def noise_sampler(self, ctx: MultiGpuRunContext,
-                      bodies: tuple[tuple[Op, ...], ...],
-                      base_costs: tuple[float, ...]):
-        """A compiled per-attempt sampler for one sweep point."""
+                      bodies: tuple[tuple[Op, ...], tuple[Op, ...]],
+                      base_costs: tuple[float, float]):
+        """The compiled link noise of one baseline/test pair (see
+        :func:`repro.gpu.device.exponential_pair_sampler`), or ``None``
+        when the engine must call :meth:`run_noise` itself (subclasses
+        overriding it)."""
+        if type(self).run_noise is not MultiGpu.run_noise:
+            return None
         del ctx, base_costs
-        noisy = tuple(_body_is_linked(body) for body in bodies)
-        scale = self._LINK_NOISE_CYCLES
-        if len(noisy) == 2:  # the engine's baseline/test pair
-            noisy_b, noisy_t = noisy
-
-            def sample_pair(rng: np.random.Generator
-                            ) -> tuple[float, float]:
-                return (float(rng.exponential(scale)) if noisy_b else 0.0,
-                        float(rng.exponential(scale)) if noisy_t else 0.0)
-
-            def bind_pair(rng: np.random.Generator):
-                exponential = rng.exponential
-
-                def sample() -> tuple[float, float]:
-                    return (float(exponential(scale)) if noisy_b else 0.0,
-                            float(exponential(scale)) if noisy_t else 0.0)
-
-                return sample
-
-            sample_pair.bind = bind_pair  # type: ignore[attr-defined]
-            return sample_pair
-
-        def sample(rng: np.random.Generator) -> tuple[float, ...]:
-            return tuple(float(rng.exponential(scale)) if flag else 0.0
-                         for flag in noisy)
-
-        return sample
+        noisy_b, noisy_t = (_body_is_linked(body) for body in bodies)
+        return exponential_pair_sampler(noisy_b, noisy_t,
+                                        self._LINK_NOISE_CYCLES)
 
     def noise_free(self, body: tuple[Op, ...] = ()) -> bool:
-        """True when runs of ``body`` never touch the link."""
+        """True when runs of ``body`` never touch the link.  A subclass
+        with its own :meth:`run_noise` is never assumed deterministic."""
+        if type(self).run_noise is not MultiGpu.run_noise:
+            return False
         return not _body_is_linked(body)
 
     def throughput(self, per_op_time: float) -> float:

@@ -200,8 +200,7 @@ class OpenMP:
         collect_races: Collect races into the result instead of raising.
         max_steps: Interpreter step budget (guards against runaway bodies).
         fast: Force content replay and batched uniform rounds on/off;
-            ``None`` follows the process default (fast unless
-            ``SYNCPERF_ENGINE=reference`` or inside
+            ``None`` follows the process default (fast unless inside
             :func:`repro.core.engine.reference_engine`).  Both settings
             run the race detector and report the same races.
         lint: Opt-in static sanitizer check before each region.

@@ -21,7 +21,7 @@ from repro.gpu.spec import GpuSpec
 
 #: Process-wide knobs individual tests may set; leaking one into the
 #: next test silently flips dispatch/engine behavior suite-wide.
-_ENV_KNOBS = ("SYNCPERF_DISPATCH", "SYNCPERF_ENGINE")
+_ENV_KNOBS = ("SYNCPERF_DISPATCH",)
 
 
 @pytest.fixture(autouse=True)

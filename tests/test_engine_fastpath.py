@@ -1,12 +1,13 @@
-"""The fast protocol kernel must be bit-identical to the reference.
+"""The fast engine setting must be bit-identical to ``fast=False``.
 
-The engine keeps two implementations of the measurement kernel (see the
-"Fast path" section of :mod:`repro.core.engine`): the retained scalar
-reference is the authoritative semantics, and the vectorized default
-must reproduce it result-by-result — same medians, same valid-run
-counts, same dropped counts — across machines, seeds, spec shapes, RNG
-pool backends, and fault injection.  Any divergence here is a
-correctness bug, never an acceptable approximation.
+The engine has one protocol kernel with four point routes (see
+:mod:`repro.core.engine`).  A ``fast=False`` engine runs every point
+through the general loop with scalar draws, which is the authoritative
+semantics; the default setting (pooled streams, closed form, compiled
+samplers, raw-state hot loop) must reproduce it result-by-result — same
+medians, same valid-run counts, same dropped counts — across machines,
+seeds, spec shapes, RNG pool backends, budgets and fault injection.  Any
+divergence here is a correctness bug, never an acceptable approximation.
 """
 
 import math
@@ -36,8 +37,11 @@ from repro.experiments.base import (
 from repro.faults.machine import FaultyMachine, wrap_machine
 from repro.faults.presets import preset_scenario
 from repro.faults.scenario import use_faults
+from repro.gpu.device import GpuDevice
+from repro.gpu.multi import MultiGpu
 from repro.gpu.presets import gpu_preset
 from repro.gpu.spec import LaunchConfig
+from repro.obs.metrics import counter_value
 
 
 def _outcome(engine, spec, ctx, label):
@@ -180,6 +184,116 @@ class TestFaultEquivalence:
         assert not problems, "\n".join(problems)
 
 
+class _FakeClock:
+    """``time.monotonic`` stand-in advancing one second per call, so a
+    time budget expires after a fixed number of budget polls."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+class TestTimeBudget:
+    def _budgeted(self, monkeypatch, machine, spec, points, budget):
+        outcomes = []
+        for fast in (True, False):
+            monkeypatch.setattr("repro.core.engine.time.monotonic",
+                                _FakeClock())
+            outcomes.append(_series(
+                machine, spec, points, fast=fast,
+                protocol=MeasurementProtocol(time_budget_s=budget)))
+        return outcomes
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_partial_budget_agrees(self, monkeypatch, quiet_cpu, quiet):
+        # Each point polls the clock once to set its deadline and once
+        # per attempt, so 5.5 s admits 5 attempts of the 9 runs, on the
+        # sampler route and on the silent one.
+        machine = quiet_cpu if quiet else cpu_preset(3)
+        spec = omp_atomic_update_scalar_spec(INT)
+        points = [(machine.context(n), f"t={n}") for n in (2, 8)]
+        fast, ref = self._budgeted(monkeypatch, machine, spec, points, 5.5)
+        assert fast == ref
+        for result in ref:
+            assert result.dropped_runs == 1
+            assert result.valid_fraction <= 5 / 9
+
+    def test_budget_without_attempts_raises_alike(self, monkeypatch):
+        machine = cpu_preset(3)
+        spec = omp_atomic_update_scalar_spec(INT)
+        points = [(machine.context(4), "t=4")]
+        # The first poll already lies past a half-second deadline.
+        fast, ref = self._budgeted(monkeypatch, machine, spec, points,
+                                   0.5)
+        assert fast == ref
+        assert fast[0].startswith("MeasurementError: ")
+        assert "time_budget_s=0.5" in fast[0]
+
+
+class _SpyMachine(CpuMachine):
+    """Counts the noise calls the engine makes (no override of
+    ``run_noise`` at class level, so compiled samplers stay on offer)."""
+
+    def __init__(self, base: CpuMachine) -> None:
+        super().__init__(base.topology, base.params, base.jitter)
+        self.calls = {"run_noise": 0, "noise_sampler": 0}
+        run_noise = self.run_noise
+        noise_sampler = self.noise_sampler
+
+        def counted_run_noise(*args):
+            self.calls["run_noise"] += 1
+            return run_noise(*args)
+
+        def counted_noise_sampler(*args):
+            self.calls["noise_sampler"] += 1
+            return noise_sampler(*args)
+
+        self.run_noise = counted_run_noise
+        self.noise_sampler = counted_noise_sampler
+
+
+class TestOracle:
+    """Pins what a ``fast=False`` engine is: the general loop with one
+    ``make_rng`` per run and two ``run_noise`` calls per attempt."""
+
+    _PATHS = ("engine.path.fast", "engine.path.reference",
+              "engine.attempts", "engine.fault_dropped_attempts")
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_reference_setting_is_scalar(self, monkeypatch, quiet_cpu,
+                                         quiet):
+        taken = []
+        take_point = RngStreamPool.take_point
+        monkeypatch.setattr(
+            RngStreamPool, "take_point",
+            lambda pool, *args: taken.append(args) or
+            take_point(pool, *args))
+        machine = _SpyMachine(quiet_cpu if quiet else cpu_preset(3))
+        spec = omp_atomic_update_scalar_spec(INT)
+        points = _cpu_points(machine)
+        before = {name: counter_value(name) for name in self._PATHS}
+        ref = _series(machine, spec, points, fast=False)
+        moved = {name: counter_value(name) - before[name]
+                 for name in self._PATHS}
+        assert not taken
+        assert machine.calls["noise_sampler"] == 0
+        assert moved["engine.path.fast"] == 0
+        assert moved["engine.path.reference"] == len(points)
+        assert moved["engine.fault_dropped_attempts"] == 0
+        assert machine.calls["run_noise"] == 2 * moved["engine.attempts"]
+        assert moved["engine.attempts"] >= 9 * len(points)
+        # The spy itself is transparent: the fast setting reproduces the
+        # oracle, with the closed form on the quiet machine and, on the
+        # noisy one, one taken point and one compiled sampler per point.
+        assert _series(machine, spec, points, fast=True) == ref
+        expected = 0 if quiet else len(points)
+        assert len(taken) == expected
+        assert machine.calls["noise_sampler"] == expected
+
+
 class TestBackendsAndRouting:
     def test_dict_setter_fallback_backend(self, monkeypatch):
         # Force the pool off the raw-state (ctypes) backend: tokens
@@ -194,7 +308,7 @@ class TestBackendsAndRouting:
     def test_run_noise_override_routed_through_subclass(self):
         class TweakedMachine(CpuMachine):
             # A subclass with its own noise model must not be silently
-            # replaced by the base class's batch/sampler fast paths.
+            # replaced by the base class's compiled sampler.
             def run_noise(self, rng, ctx, body=(), base_cost=0.0):
                 return super().run_noise(rng, ctx, body, base_cost) + 0.5
 
@@ -204,6 +318,33 @@ class TestBackendsAndRouting:
                                      (0.0, 0.0)) is None
         _assert_equivalent(machine, omp_atomic_update_scalar_spec(INT),
                            _cpu_points(machine))
+
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_gpu_run_noise_override_routed_through_subclass(self, multi):
+        base = MultiGpu if multi else GpuDevice
+
+        class JitteryDevice(base):
+            # Draws even for on-device bodies, which the base class's
+            # closed form and compiled sampler would both skip.
+            def run_noise(self, rng, ctx, body=(), base_cost=0.0):
+                return super().run_noise(rng, ctx, body, base_cost) + \
+                    float(rng.normal(0.0, 5.0))
+
+        device = gpu_preset(3)
+        if multi:
+            machine = JitteryDevice(device)
+            points = [(machine.context(d, LaunchConfig(2, 32)), f"d={d}")
+                      for d in (2, 4)]
+        else:
+            machine = JitteryDevice(device.spec, device.params,
+                                    device.atomics)
+            points = _gpu_points(machine)
+        assert not machine.noise_free(())
+        assert machine.noise_sampler(points[0][0], ((), ()),
+                                     (0.0, 0.0)) is None
+        _assert_equivalent(
+            machine, cuda_atomic_scalar_spec(PrimitiveKind.ATOMIC_ADD, INT),
+            points)
 
     def test_reference_engine_scopes_the_default(self):
         default = fast_path_default()
