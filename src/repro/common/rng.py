@@ -385,8 +385,8 @@ class RngStreamPool:
         Feed each token to :meth:`reseed` to obtain that run's stream.
         """
         tokens = self._points.pop((prefix, seed), None)
-        # Inlined Counter.add: take_point sits on the engine's
-        # per-point path, inside the bench regression gate.
+        # Inlined Counter.add: take_point runs once per measured
+        # point, so the notify check would show in every sweep.
         metric = _C_POOL_HITS if tokens is not None else _C_POOL_MISSES
         metric.value += 1
         subscriber = _metric_subscriber[0]

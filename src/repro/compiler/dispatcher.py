@@ -352,7 +352,7 @@ class Dispatcher:
     # ------------------------------ shared ---------------------------- #
 
     def clear(self) -> None:
-        """Drop every cached entry (tests, bench)."""
+        """Drop every cached entry."""
         with self._lock:
             self._entries.clear()
             self._bytes = 0

@@ -62,8 +62,8 @@ are bit-identical; ``tests/test_engine_fastpath.py`` asserts equality
 result-by-result, and the golden corpus at ``results/reference/`` is the
 end-to-end oracle.  Select the setting per engine with
 ``MeasurementEngine(..., fast=...)`` or per block with
-:func:`reference_engine` (used by ``python -m repro.bench`` to time one
-against the other).
+:func:`reference_engine` (the tests use it to run workload helpers that
+build their own runtimes on the oracle).
 """
 
 from __future__ import annotations
@@ -110,9 +110,9 @@ def _flush_protocol_counters(fast: bool, attempts: int = 0,
     """One protocol execution's worth of counter updates.
 
     The subscriber-less case (no recorder installed — the default)
-    takes direct attribute increments: per-protocol cost is what the
-    bench regression gate times, and ``Counter.add``'s notify check
-    is measurable against the primed closed-form kernel.
+    takes direct attribute increments: a primed closed-form point
+    costs little more than this flush, so ``Counter.add``'s notify
+    check would be measurable on every point of a sweep.
     """
     if _metric_subscriber[0] is None:
         _C_MEASUREMENTS.value += 1
@@ -165,8 +165,8 @@ def _median(values: list[float]) -> float:
 
 @contextmanager
 def reference_engine():
-    """Create engines inside the block with ``fast=False`` (used by the
-    benchmark suite for fast-vs-reference timings)."""
+    """Create engines and interpreters inside the block with
+    ``fast=False``: the oracle the equivalence tests compare against."""
     global _FAST_DEFAULT
     previous = _FAST_DEFAULT
     _FAST_DEFAULT = False

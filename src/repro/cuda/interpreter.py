@@ -605,7 +605,7 @@ class Cuda:
         blocks = _C_BLOCKS_FAST if batched else _C_BLOCKS_REFERENCE
         if _metric_subscriber[0] is None:
             # No recorder: direct increments keep the per-block flush
-            # within the bench regression gate's noise floor.
+            # cheap next to a short block's own passes.
             blocks.value += 1
             _C_UNIFORM.value += n_uniform
             _C_FALLBACK.value += n_fallback

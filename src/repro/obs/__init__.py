@@ -6,8 +6,8 @@ the campaign runner.  Three pieces:
 
 * **Counters/gauges** (:mod:`repro.obs.metrics`) — process-wide,
   always on, monotonic.  ``fast passes + scalar fallbacks == total
-  passes`` style identities are part of their contract; the bench
-  suite's engagement tripwires assert on their deltas.
+  passes`` style identities are part of their contract; the
+  engagement tests assert on their deltas.
 * **Spans/events** (:mod:`repro.obs.recorder`) — hierarchical timed
   sections and instant markers, recorded only while a
   :class:`Recorder` is installed (default: none, a strict no-op).

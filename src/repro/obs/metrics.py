@@ -7,8 +7,7 @@ bump regardless of whether a :class:`~repro.obs.recorder.Recorder` is
 installed.  They are deliberately cheap — an attribute increment plus a
 ``None`` check — and the hot loops accumulate locally and flush one
 ``add`` per block/region, so disabled observability stays within noise
-of the uninstrumented paths (the ``python -m repro.bench`` regression
-gate pins that down).
+of the uninstrumented paths, which the untraced benchmark runs time.
 
 Gauges are last-value-wins floats for levels rather than totals
 (e.g. worker counts).
@@ -88,8 +87,8 @@ class MetricsRegistry:
 
     One instance, :data:`REGISTRY`, serves the whole process; totals are
     monotonic for the process lifetime, so callers interested in one
-    run's activity sample before/after and take deltas (what the bench
-    tripwires and the recorder's run-scoped totals both do).
+    run's activity sample before/after and take deltas (what the
+    engagement tests and the recorder's run-scoped totals both do).
     """
 
     def __init__(self) -> None:

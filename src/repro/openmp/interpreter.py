@@ -494,7 +494,7 @@ class OpenMP:
         regions = _C_REGIONS_FAST if self.fast else _C_REGIONS_REFERENCE
         if _metric_subscriber[0] is None:
             # No recorder: direct increments keep the per-region flush
-            # within the bench regression gate's noise floor.
+            # cheap next to a short region's own rounds.
             regions.value += 1
             _C_UNIFORM.value += n_uniform
             _C_FALLBACK.value += n_fallback

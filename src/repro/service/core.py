@@ -187,10 +187,6 @@ class ServiceConfig:
             (:class:`CampaignCheckpoint`), durable across kills.
         scenario: Measurement-time fault scenario active in workers.
         fault_plan: Process-level fault plan (crash/hang/slow).
-        attribution: Attach per-request attribution (serving path,
-            dispatch tier, worker pid, retries, breaker state) to
-            every terminal response.  Default on; the bench baseline
-            turns it off to price the machinery.
         flight_dir: When set, worker retirements dump the flight
             recorder here for post-mortems (chaos-audited).
         trace_max: Distinct traces the in-memory store retains for
@@ -209,7 +205,6 @@ class ServiceConfig:
     checkpoint_path: str | Path | None = None
     scenario: FaultScenario | None = None
     fault_plan: ProcessFaultPlan | None = None
-    attribution: bool = True
     flight_dir: str | Path | None = None
     trace_max: int = 512
 
@@ -313,9 +308,8 @@ class MeasurementService:
                 "message": str(exc),
                 "exit_code": error_exit_code(exc),
             }
-            if self.config.attribution and "attribution" not in response:
-                attribution.serving = attribution.serving or "none"
-                response["attribution"] = attribution.as_dict()
+            attribution.serving = attribution.serving or "none"
+            response["attribution"] = attribution.as_dict()
         finally:
             self._attr_local.value = None
         end = self._clock()
@@ -401,13 +395,11 @@ class MeasurementService:
                     entry.age_seconds <= self.config.cache_ttl_s:
                 _C_CACHE_HIT.add()
                 attribution.serving = "cache_hit"
-                response = {"status": "served", "cache": "hit",
-                            "request": request.canonical(),
-                            "result": entry.result,
-                            "age_seconds": round(entry.age_seconds, 3)}
-                if self.config.attribution:
-                    response["attribution"] = attribution.as_dict()
-                return response
+                return {"status": "served", "cache": "hit",
+                        "request": request.canonical(),
+                        "result": entry.result,
+                        "age_seconds": round(entry.age_seconds, 3),
+                        "attribution": attribution.as_dict()}
 
         # Single-flight: identical cache-miss requests arriving while
         # one is already executing share that execution's terminal
@@ -465,13 +457,11 @@ class MeasurementService:
                                    request.canonical())
                 attribution.serving = "measured"
                 attribution.breaker = breaker.state
-                response = {"status": "served", "cache": "miss",
-                            "request": request.canonical(),
-                            "result": outcome["result"],
-                            "attempts": attempt + 1}
-                if self.config.attribution:
-                    response["attribution"] = attribution.as_dict()
-                return response
+                return {"status": "served", "cache": "miss",
+                        "request": request.canonical(),
+                        "result": outcome["result"],
+                        "attempts": attempt + 1,
+                        "attribution": attribution.as_dict()}
             failure = outcome
             breaker.record_failure()
             error_name = outcome.get("error", "")
@@ -519,14 +509,6 @@ class MeasurementService:
         ``_inline_lock`` so concurrent submissions (the daemon's
         executor threads) cannot interleave their counter windows.
         """
-        if not self.config.attribution and ctx is None:
-            try:
-                with use_faults(self.config.scenario):
-                    result = execute_request(request)
-            except Exception as exc:  # noqa: BLE001 - mirrors worker reply
-                return {"status": "error", "error": type(exc).__name__,
-                        "message": str(exc)}
-            return {"status": "ok", "result": result}
         with self._inline_lock:
             before = counters_snapshot(ATTRIBUTION_PREFIXES)
             spans = None
@@ -592,23 +574,19 @@ class MeasurementService:
                           error=type(exc).__name__,
                           stale_seconds=round(entry.age_seconds, 3))
                 attribution.serving = "stale_cache"
-                response = {"status": "degraded", "cache": "stale",
-                            "request": request.canonical(),
-                            "result": entry.result,
-                            "stale_seconds": round(entry.age_seconds, 3),
-                            "error": type(exc).__name__,
-                            "message": str(exc)}
-                if self.config.attribution:
-                    response["attribution"] = attribution.as_dict()
-                return response
+                return {"status": "degraded", "cache": "stale",
+                        "request": request.canonical(),
+                        "result": entry.result,
+                        "stale_seconds": round(entry.age_seconds, 3),
+                        "error": type(exc).__name__,
+                        "message": str(exc),
+                        "attribution": attribution.as_dict()}
         attribution.serving = "none"
-        response = {"status": "failed",
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                    "exit_code": error_exit_code(exc)}
-        if self.config.attribution:
-            response["attribution"] = attribution.as_dict()
-        return response
+        return {"status": "failed",
+                "error": type(exc).__name__,
+                "message": str(exc),
+                "exit_code": error_exit_code(exc),
+                "attribution": attribution.as_dict()}
 
     # ------------------------------------------------------- accounting
 

@@ -61,8 +61,7 @@ def cpu_histogram(machine: CpuMachine, data: np.ndarray, n_bins: int,
     Args:
         detect_races: Run the race detector (the default).  The batched
             uniform rounds run either way; turning detection off only
-            drops the detector's bookkeeping (the benchmark suite does
-            this to time the scheduler alone).
+            drops the detector's bookkeeping.
     """
     if strategy not in ("atomic", "privatized"):
         raise ConfigurationError(f"unknown CPU strategy {strategy!r}")

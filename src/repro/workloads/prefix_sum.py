@@ -142,8 +142,7 @@ def cpu_prefix_sum(machine: CpuMachine, data: np.ndarray,
     Args:
         detect_races: Run the race detector (the default).  The batched
             uniform rounds run either way; turning detection off only
-            drops the detector's bookkeeping (the benchmark suite does
-            this to time the scheduler alone).
+            drops the detector's bookkeeping.
     """
     n = int(data.size)
     per_thread = -(-n // n_threads) if n else 1

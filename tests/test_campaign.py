@@ -304,6 +304,46 @@ class TestRunCampaign:
         assert summary["failed"][0]["experiment"] == "b"
 
 
+class TestParallelCampaign:
+    """``run_campaign(jobs=2)`` must be indistinguishable from a serial
+    run: outcome order, sweep CSV bytes, checkpoint records and the
+    order of ``on_result`` calls."""
+
+    # Not in id order, and the slowest first, so a parallel run that
+    # emitted in completion or sorted order would show.
+    IDS = ["fig4", "fig1", "vote", "table1", "fig7"]
+
+    def _run(self, tmp_path, jobs):
+        presented = []
+
+        def on_result(exp_id, definition, sweeps, checks, wall):
+            presented.append((exp_id, definition.exp_id,
+                              [sweep.to_csv() for sweep in sweeps],
+                              [str(check) for check in checks]))
+
+        checkpoint = CampaignCheckpoint(tmp_path / f"jobs{jobs}.json")
+        outcomes = run_campaign(self.IDS, checkpoint=checkpoint,
+                                on_result=on_result,
+                                log=lambda line: None, jobs=jobs)
+        records = json.loads(checkpoint.path.read_text())["experiments"]
+        for record in records.values():
+            del record["wall_seconds"]
+        return ([(o.exp_id, o.status, o.claims_passed, o.claims_total)
+                 for o in outcomes], presented, list(records.items()))
+
+    def test_parallel_matches_serial(self, tmp_path):
+        serial = self._run(tmp_path, jobs=1)
+        parallel = self._run(tmp_path, jobs=2)
+        outcomes, presented, records = serial
+        assert [o[0] for o in outcomes] == self.IDS
+        assert [p[0] for p in presented] == self.IDS
+        assert [r[0] for r in records] == self.IDS
+        assert all(p[2] for p in presented if p[0] != "table1")
+        assert parallel[0] == outcomes
+        assert parallel[1] == presented
+        assert parallel[2] == records
+
+
 class TestExitCodes:
     def test_error_exit_code_by_instance(self):
         assert error_exit_code(ConfigurationError("x")) == EXIT_CONFIG

@@ -1,5 +1,5 @@
 """The JIT-style dispatch layer: cache accounting, invalidation,
-isolation, tier byte-identity, and the bench ``--compare`` diff.
+isolation and tier byte-identity.
 
 The differential-fuzz harness (``test_differential_fuzz.py``) pins
 byte-identity over random programs; this suite pins the dispatcher's
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import repro.compiler.dispatcher as dmod
-from repro.bench import compare_payloads
 from repro.common.errors import DataRaceError, SimulationError
 from repro.compiler.dispatcher import (
     DISPATCHER, Dispatcher, dispatch_disabled, dispatch_forced,
@@ -554,36 +553,6 @@ class TestModuleGlobals:
             assert result.barriers == ref.barriers
             assert result.requests == ref.requests
         assert hits == 1, "the flipped body must be keyed, and keyed anew"
-
-
-# --------------------------------------------------------------------- #
-# bench --compare
-# --------------------------------------------------------------------- #
-
-
-def _payload(rows):
-    return {"benchmarks": [{"id": i, "speedup": s} for i, s in rows]}
-
-
-class TestBenchCompare:
-    def test_regression_detected(self):
-        old = _payload([("a", 10.0), ("b", 2.0)])
-        new = _payload([("a", 10.1), ("b", 1.0)])
-        regressions = compare_payloads(new, old, tolerance=0.2)
-        assert [r["id"] for r in regressions] == ["b"]
-        assert regressions[0]["old_speedup"] == 2.0
-        assert regressions[0]["new_speedup"] == 1.0
-
-    def test_tolerance_allows_small_drops(self):
-        old = _payload([("a", 10.0)])
-        new = _payload([("a", 8.5)])
-        assert compare_payloads(new, old, tolerance=0.2) == []
-        assert compare_payloads(new, old, tolerance=0.1) != []
-
-    def test_new_and_removed_rows_never_fail(self):
-        old = _payload([("gone", 5.0)])
-        new = _payload([("fresh", 0.1)])
-        assert compare_payloads(new, old, tolerance=0.2) == []
 
 
 # --------------------------------------------------------------------- #

@@ -224,8 +224,8 @@ class TestCudaEquivalence:
 
 
 @dataclass
-class _TracedScan:
-    """Outcome of :func:`_traced_segmented_scan`, timeline included."""
+class _TracedKernel:
+    """Outcome of one traced launch, timeline included."""
 
     values: np.ndarray
     correct: bool
@@ -235,7 +235,46 @@ class _TracedScan:
     events: list
 
 
-def _traced_segmented_scan(device) -> _TracedScan:
+def _traced_kernel(result, values, expected) -> _TracedKernel:
+    return _TracedKernel(values=values,
+                         correct=bool((values == expected).all()),
+                         elapsed=result.elapsed_cycles,
+                         block_cycles=result.block_cycles,
+                         stats=result.stats, events=result.trace.events)
+
+
+def _traced_stream(device) -> _TracedKernel:
+    """Coalesced load/compute/store sweeps: every warp pass uniform."""
+    def stream_kernel(t):
+        tid = t.global_id
+        for _ in range(8):
+            value = yield t.global_read("a", tid)
+            yield t.global_write("b", tid, value * 2.0)
+            yield t.alu(2)
+
+    n = 4 * 64
+    a = np.arange(n, dtype=np.float64)
+    b = np.zeros(n)
+    result = Cuda(device).launch(stream_kernel, LaunchConfig(4, 64),
+                                 globals_={"a": a, "b": b}, trace=True)
+    return _traced_kernel(result, b, a * 2.0)
+
+
+def _traced_fence_syncwarp(device) -> _TracedKernel:
+    """The paper's sync-primitive shape: a fence/syncwarp loop."""
+    def sync_kernel(t):
+        for _ in range(16):
+            yield t.threadfence()
+            yield t.syncwarp()
+        yield t.global_write("done", t.global_id, 1)
+
+    done = np.zeros(4 * 64, np.int64)
+    result = Cuda(device).launch(sync_kernel, LaunchConfig(4, 64),
+                                 globals_={"done": done}, trace=True)
+    return _traced_kernel(result, done, 1)
+
+
+def _traced_segmented_scan(device) -> _TracedKernel:
     """Per-block shared-memory inclusive scans over 8 blocks, traced:
     every block barrier and warp pass lands in the timeline."""
     n, bt = 8 * 32, 32
@@ -267,10 +306,7 @@ def _traced_segmented_scan(device) -> _TracedScan:
         shared_decls={"buf": (bt, np.dtype(np.int64))}, trace=True)
     expected = np.concatenate([np.cumsum(data[s:s + bt])
                                for s in range(0, n, bt)])
-    return _TracedScan(values=out, correct=bool((out == expected).all()),
-                       elapsed=result.elapsed_cycles,
-                       block_cycles=result.block_cycles,
-                       stats=result.stats, events=result.trace.events)
+    return _traced_kernel(result, out, expected)
 
 
 class TestCudaWorkloads:
@@ -288,6 +324,8 @@ class TestCudaWorkloads:
         "bitonic_sort": lambda dev: gpu_bitonic_sort(
             dev, ((np.arange(64) * 37) % 101).astype(np.int64)),
         "segmented_scan_traced": _traced_segmented_scan,
+        "stream_traced": _traced_stream,
+        "fence_syncwarp_traced": _traced_fence_syncwarp,
     }
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))

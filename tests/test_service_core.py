@@ -160,6 +160,9 @@ class TestServiceInline:
         assert (cold["status"], cold["cache"]) == ("served", "miss")
         assert (warm["status"], warm["cache"]) == ("served", "hit")
         assert warm["result"] == cold["result"]
+        # A cache answer must be byte-identical to measuring directly.
+        assert warm["result"] == execute_request(
+            MeasureRequest.from_json({"primitive": "omp_atomic"}))
         assert _reconciles(before)
 
     def test_invalid_request_fails_with_config_code(self, tmp_path):

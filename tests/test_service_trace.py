@@ -81,13 +81,6 @@ class TestInlineAttribution:
         assert response["status"] == "failed"
         assert response["attribution"]["serving"] == "none"
 
-    def test_attribution_can_be_turned_off(self, tmp_path):
-        config = self._config(tmp_path, attribution=False)
-        with MeasurementService(config) as service:
-            response = service.submit({"primitive": "omp_atomic"})
-        assert response["status"] == "served"
-        assert "attribution" not in response
-
     def test_traced_submission_stitches_inline_trace(self, tmp_path):
         with MeasurementService(self._config(tmp_path)) as service:
             payload, ctx = _traced({"primitive": "omp_atomic",
