@@ -48,7 +48,11 @@ def make_cost_model(machine, ctx):
     mem_cost_cache: dict[tuple, float] = {}
 
     def mem_cost(kind: PrimitiveKind, dtype, contended: bool) -> float:
-        key = (kind, dtype, contended)
+        # Keyed on values that hash in C: hashing the enum member or
+        # the DataType dataclass (it holds an np.dtype) runs Python
+        # code.  The dtype fields are the ones the cost model prices.
+        key = (kind._value_, dtype.name, dtype.size_bytes,
+               dtype.is_integer, contended)
         c = mem_cost_cache.get(key)
         if c is None:
             target = SharedScalar(dtype) if contended else \

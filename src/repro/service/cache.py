@@ -165,6 +165,10 @@ class ResultCache:
             key=key, result=entry["result"], stored_at=stored_at,
             age_seconds=max(0.0, self._clock() - stored_at))
 
+    def age(self, entry: CacheEntry) -> float:
+        """Seconds since ``entry`` was stored, as of now (>= 0)."""
+        return max(0.0, self._clock() - entry.stored_at)
+
     def entries(self) -> dict[str, dict]:
         """All *well-formed* entries on disk, by key.
 

@@ -20,7 +20,7 @@ system preset, a parallelism level, and a data type.  This module owns:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.common.datatypes import DTYPES, DataType
 from repro.common.errors import ConfigurationError
@@ -191,8 +191,14 @@ class MeasureRequest:
         return entry, dtype
 
     def canonical(self) -> dict:
-        """The request as a canonical JSON-ready dict (cache identity)."""
-        return asdict(self)
+        """The request as a canonical JSON-ready dict (cache identity).
+
+        Equal to ``dataclasses.asdict(self)``, keys in field order, so
+        cache keys stay byte-identical; a literal skips its deep copy.
+        """
+        return {"primitive": self.primitive, "system": self.system,
+                "threads": self.threads, "blocks": self.blocks,
+                "dtype": self.dtype, "n_runs": self.n_runs}
 
     def label(self) -> str:
         """The jitter-stream label of this request's sweep point."""

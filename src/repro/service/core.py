@@ -31,6 +31,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import repro
 from repro.common.errors import (
@@ -62,7 +63,7 @@ from repro.obs.metrics import counter as _counter
 from repro.obs.metrics import counters_delta, counters_snapshot
 from repro.obs.metrics import gauge as _gauge
 from repro.obs.recorder import get_recorder
-from repro.service.cache import ResultCache, cache_key
+from repro.service.cache import CacheEntry, ResultCache, cache_key
 from repro.service.catalog import MeasureRequest, execute_request
 from repro.service.policy import (
     OPEN,
@@ -209,6 +210,40 @@ class ServiceConfig:
     trace_max: int = 512
 
 
+class Lookup(NamedTuple):
+    """The front half of one submission (:meth:`MeasurementService.lookup`).
+
+    Everything a request needs before it can be answered: its trace
+    context, validated request, cache key and the result of the one
+    cache read.  :meth:`MeasurementService.submit` finishes it without
+    parsing, keying or reading the cache again.
+
+    Attributes:
+        payload: The wire payload minus its ``"trace"`` field.
+        ctx: The request's trace context, if it carried one.
+        start: Service clock at lookup (the response latency's start).
+        request: The validated request (None when invalid).
+        canonical: ``request.canonical()``, built once per request.
+        key: The request's cache and single-flight key.
+        entry: What the cache read returned (fresh, stale or None).
+        hit: ``entry`` is fresh enough to answer the request.
+        error: The validation error of an invalid request.
+        blocking: Finishing may block: a miss or stale entry goes to a
+            worker, and a checkpoint ledger fsyncs every answer.
+    """
+
+    payload: object
+    ctx: TraceContext | None
+    start: float
+    request: MeasureRequest | None
+    canonical: dict | None
+    key: str | None
+    entry: CacheEntry | None
+    hit: bool
+    error: Exception | None
+    blocking: bool
+
+
 class _Flight:
     """One in-flight request digest other threads can wait on."""
 
@@ -222,7 +257,9 @@ class _Flight:
 class MeasurementService:
     """Supervised, cached, circuit-broken measurement front-end.
 
-    Thread-safe: the daemon calls :meth:`submit` from a thread pool.
+    Thread-safe: the daemon runs :meth:`lookup` and non-blocking
+    :meth:`submit` calls on its event loop, and blocking ones on a
+    thread pool.
 
     Args:
         config: Service tunables.
@@ -239,6 +276,8 @@ class MeasurementService:
             campaign_fingerprint(self.config.scenario,
                                  MeasurementProtocol()),
             service=repro.__version__)
+        self._fingerprint_json = json.dumps(self.fingerprint,
+                                            sort_keys=True)
         self.cache: ResultCache | None = None
         if self.config.cache_dir is not None:
             self.cache = ResultCache(
@@ -274,33 +313,65 @@ class MeasurementService:
         self._inline_lock = threading.Lock()
         # The in-flight submission's attribution accumulator, keyed by
         # handling thread so the orchestration chain keeps its public
-        # method signatures (each daemon executor thread handles one
-        # submission at a time).
+        # method signatures (the daemon's event loop and each of its
+        # executor threads handle one submission at a time).
         self._attr_local = threading.local()
 
     # ------------------------------------------------------------ API
 
-    def submit(self, payload: object) -> dict:
-        """Process one wire-format request to a terminal response.
+    def lookup(self, payload: object) -> Lookup:
+        """The front half of a submission, free of side effects.
 
-        Never raises: every exception, including unforeseen internal
-        ones, terminates as a counted ``failed`` response.
+        Splits off the trace context, validates the request, computes
+        its cache key and reads the cache once.  A validation error is
+        kept in the record and answered by :meth:`submit`.
 
         A dict payload may carry a ``"trace"`` field (wire-format
         :class:`TraceContext`); it is stripped before request
-        validation — trace identity must never reach the cache key —
-        and becomes the thread's current context for the submission.
-        Traced responses gain a top-level ``trace_id`` and the stitched
-        spans land in :attr:`traces`.
+        validation — trace identity must never reach the cache key.
         """
-        _C_REQUESTS.add()
-        payload, ctx = self._extract_trace(payload)
-        attribution = _Attribution(ctx)
-        self._attr_local.value = attribution
         start = self._clock()
+        payload, ctx = self._extract_trace(payload)
+        request = canonical = key = entry = error = None
         try:
-            with maybe_context(ctx), obs_span("service.request"):
-                response = self._handle(payload)
+            request = MeasureRequest.from_json(payload)
+            canonical = request.canonical()
+            # The request digest keys both the result cache and
+            # in-flight coalescing, so it is computed even when caching
+            # is off.
+            key = cache_key(canonical, self._fingerprint_json,
+                            repro.__version__)
+            if self.cache is not None:
+                entry = self.cache.get(key)
+        except Exception as exc:  # noqa: BLE001 - answered by submit
+            error = exc
+        hit = entry is not None and \
+            entry.age_seconds <= self.config.cache_ttl_s
+        blocking = self._checkpoint is not None or \
+            (error is None and not hit)
+        return Lookup(payload, ctx, start, request, canonical, key,
+                      entry, hit, error, blocking)
+
+    def submit(self, payload: object) -> dict:
+        """Process one request to a terminal response.
+
+        ``payload`` is a wire-format request or the :class:`Lookup`
+        record of one; a raw payload is looked up first.  Never raises:
+        every exception, including unforeseen internal ones,
+        terminates as a counted ``failed`` response.
+
+        A traced request's context becomes the thread's current
+        context for the submission; its response gains a top-level
+        ``trace_id`` and the stitched spans land in :attr:`traces`.
+        """
+        found = payload if isinstance(payload, Lookup) \
+            else self.lookup(payload)
+        _C_REQUESTS.add()
+        attribution = _Attribution(found.ctx)
+        self._attr_local.value = attribution
+        try:
+            with maybe_context(found.ctx), obs_span("service.request"):
+                response = self._handle(found)
         except BaseException as exc:  # noqa: BLE001 - terminal catch-all
             response = {
                 "status": "failed",
@@ -312,18 +383,18 @@ class MeasurementService:
             response["attribution"] = attribution.as_dict()
         finally:
             self._attr_local.value = None
-        end = self._clock()
+        start, end = found.start, self._clock()
         latency_ms = (end - start) * 1e3
         response["latency_ms"] = round(latency_ms, 3)
         self._count(response)
         self._observe_latency(latency_ms)
-        self._record_trace(ctx, attribution, response, start, end)
+        self._record_trace(found.ctx, attribution, response, start, end)
         FLIGHT.record("service.response",
                       status=response.get("status"),
                       serving=attribution.serving,
                       latency_ms=response["latency_ms"],
                       trace_id=attribution.trace_id)
-        self._ledger(payload, response)
+        self._ledger(found.payload, response)
         return response
 
     def health(self) -> dict:
@@ -381,25 +452,18 @@ class MeasurementService:
             self._attr_local.value = attribution
         return attribution
 
-    def _handle(self, payload: object) -> dict:
+    def _handle(self, found: Lookup) -> dict:
+        if found.error is not None:
+            raise found.error
         attribution = self._attribution()
-        request = MeasureRequest.from_json(payload)
-        # The request digest keys both the result cache and in-flight
-        # coalescing, so it is computed even when caching is off.
-        key = cache_key(request.canonical(),
-                        json.dumps(self.fingerprint, sort_keys=True),
-                        repro.__version__)
-        if self.cache is not None:
-            entry = self.cache.get(key)
-            if entry is not None and \
-                    entry.age_seconds <= self.config.cache_ttl_s:
-                _C_CACHE_HIT.add()
-                attribution.serving = "cache_hit"
-                return {"status": "served", "cache": "hit",
-                        "request": request.canonical(),
-                        "result": entry.result,
-                        "age_seconds": round(entry.age_seconds, 3),
-                        "attribution": attribution.as_dict()}
+        if found.hit:
+            _C_CACHE_HIT.add()
+            attribution.serving = "cache_hit"
+            return {"status": "served", "cache": "hit",
+                    "request": found.canonical,
+                    "result": found.entry.result,
+                    "age_seconds": round(found.entry.age_seconds, 3),
+                    "attribution": attribution.as_dict()}
 
         # Single-flight: identical cache-miss requests arriving while
         # one is already executing share that execution's terminal
@@ -408,10 +472,10 @@ class MeasurementService:
         # failed, so the reconciliation invariant is untouched.
         while True:
             with self._flight_lock:
-                flight = self._flights.get(key)
+                flight = self._flights.get(found.key)
                 if flight is None:
                     flight = _Flight()
-                    self._flights[key] = flight
+                    self._flights[found.key] = flight
                     break  # this thread is the leader
             flight.event.wait()
             if flight.response is not None:
@@ -425,24 +489,25 @@ class MeasurementService:
             # error surfaced through submit's catch-all): contend for
             # leadership and execute normally.
         try:
-            response = self._measure_miss(request, key)
+            response = self._measure_miss(found)
             flight.response = response
             return response
         finally:
             with self._flight_lock:
-                if self._flights.get(key) is flight:
-                    del self._flights[key]
+                if self._flights.get(found.key) is flight:
+                    del self._flights[found.key]
             flight.event.set()
 
-    def _measure_miss(self, request: MeasureRequest, key: str) -> dict:
+    def _measure_miss(self, found: Lookup) -> dict:
         """Breaker -> retry loop -> degrade for one cache-missed request."""
         attribution = self._attribution()
+        request = found.request
         breaker = self._breaker(request)
         if not breaker.allow():
             exc = CircuitOpenError(
                 f"circuit open for {request.primitive}/s{request.system}"
                 f" after repeated failures")
-            return self._degrade_or_fail(request, key, exc)
+            return self._degrade_or_fail(found, exc)
 
         failure = None
         delays = self.config.retry.delays(key=request.describe())
@@ -452,13 +517,13 @@ class MeasurementService:
             self._fold_outcome(outcome, attribution)
             if outcome["status"] == "ok":
                 breaker.record_success()
-                if self.cache is not None and key is not None:
-                    self.cache.put(key, outcome["result"],
-                                   request.canonical())
+                if self.cache is not None:
+                    self.cache.put(found.key, outcome["result"],
+                                   found.canonical)
                 attribution.serving = "measured"
                 attribution.breaker = breaker.state
                 return {"status": "served", "cache": "miss",
-                        "request": request.canonical(),
+                        "request": found.canonical,
                         "result": outcome["result"],
                         "attempts": attempt + 1,
                         "attribution": attribution.as_dict()}
@@ -477,7 +542,7 @@ class MeasurementService:
             self._sleep(delays[attempt])
 
         exc = self._failure_exception(failure)
-        return self._degrade_or_fail(request, key, exc)
+        return self._degrade_or_fail(found, exc)
 
     def _execute(self, request: MeasureRequest) -> dict:
         """One measurement attempt: pooled dispatch or inline call."""
@@ -560,27 +625,30 @@ class MeasurementService:
         return rebuild_exception(outcome.get("error", "CampaignError"),
                                  outcome.get("message", ""))
 
-    def _degrade_or_fail(self, request: MeasureRequest,
-                         key: str | None, exc: Exception) -> dict:
-        """Answer from stale cache if possible, else fail with taxonomy."""
+    def _degrade_or_fail(self, found: Lookup, exc: Exception) -> dict:
+        """Answer from stale cache if possible, else fail with taxonomy.
+
+        The fallback is the entry the request's one cache read found;
+        its staleness is taken now, when it answers.
+        """
         attribution = self._attribution()
-        attribution.breaker = self._breaker(request).state
-        if self.cache is not None and key is not None:
-            entry = self.cache.get(key)
-            if entry is not None:
-                _C_CACHE_STALE.add()
-                obs_event("service.degraded",
-                          request=request.describe(),
-                          error=type(exc).__name__,
-                          stale_seconds=round(entry.age_seconds, 3))
-                attribution.serving = "stale_cache"
-                return {"status": "degraded", "cache": "stale",
-                        "request": request.canonical(),
-                        "result": entry.result,
-                        "stale_seconds": round(entry.age_seconds, 3),
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                        "attribution": attribution.as_dict()}
+        attribution.breaker = self._breaker(found.request).state
+        entry = found.entry
+        if entry is not None:
+            stale_seconds = round(self.cache.age(entry), 3)
+            _C_CACHE_STALE.add()
+            obs_event("service.degraded",
+                      request=found.request.describe(),
+                      error=type(exc).__name__,
+                      stale_seconds=stale_seconds)
+            attribution.serving = "stale_cache"
+            return {"status": "degraded", "cache": "stale",
+                    "request": found.canonical,
+                    "result": entry.result,
+                    "stale_seconds": stale_seconds,
+                    "error": type(exc).__name__,
+                    "message": str(exc),
+                    "attribution": attribution.as_dict()}
         attribution.serving = "none"
         return {"status": "failed",
                 "error": type(exc).__name__,

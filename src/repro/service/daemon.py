@@ -10,9 +10,13 @@ streams; no frameworks) exposing three endpoints:
     is a success with an explicit staleness label, not an error), 400
     for invalid requests, 503 when the service is unavailable (circuit
     open / workers lost / deadline) with no cache to fall back on, and
-    500 for anything else.  Measurements block worker processes, so
-    submissions run on an executor thread — the event loop itself only
-    ever parses and serializes.
+    500 for anything else.  The event loop parses the body and runs
+    :meth:`~repro.service.core.MeasurementService.lookup` (validation,
+    cache key, one cache read).  Requests that cannot block — fresh
+    cache hits and invalid requests — are answered on the loop; misses
+    and stale entries wait on a worker, and a service with a checkpoint
+    ledger fsyncs every answer, so those finish on an executor
+    thread.  Bodies are compact JSON.
 
 ``GET /metrics``
     Prometheus text exposition of the service's counters (service,
@@ -92,7 +96,11 @@ class ServiceDaemon:
         service: The service to expose.
         host: Bind address (loopback by default; this is a lab tool).
         port: Bind port (0 = ephemeral; read :attr:`port` after start).
-        max_concurrency: Executor threads for in-flight submissions.
+        max_concurrency: Executor threads for in-flight blocking
+            submissions (misses, stale entries, and every request of a
+            service with a checkpoint ledger).  Hits and invalid
+            requests are answered on the event loop and never wait
+            for one.
     """
 
     def __init__(self, service: MeasurementService,
@@ -204,9 +212,13 @@ class ServiceDaemon:
             except (ValueError, UnicodeDecodeError) as exc:
                 return 400, {"status": "failed", "error": "BadRequest",
                              "message": f"body is not JSON: {exc}"}
-            loop = asyncio.get_running_loop()
-            response = await loop.run_in_executor(
-                self._executor, self.service.submit, payload)
+            found = self.service.lookup(payload)
+            if found.blocking:
+                loop = asyncio.get_running_loop()
+                response = await loop.run_in_executor(
+                    self._executor, self.service.submit, found)
+            else:
+                response = self.service.submit(found)
             return _http_status(response), response
         if path == "/metrics":
             if method != "GET":
@@ -267,8 +279,9 @@ class ServiceDaemon:
             payload = body.encode()
             content_type = "text/plain; version=0.0.4"
         else:
-            payload = (json.dumps(body, indent=1, default=str)
-                       + "\n").encode()
+            # Compact: any ``indent`` forces json's pure-Python encoder.
+            payload = (json.dumps(body, separators=(",", ":"),
+                                  default=str) + "\n").encode()
             content_type = "application/json"
         head = (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Error')}"
                 f"\r\nContent-Type: {content_type}"

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 
 import pytest
 
+import repro
 from repro.common.errors import ConfigurationError
+from repro.cpu.presets import cpu_preset
 from repro.faults.process import ProcessFaultPlan
 from repro.obs.metrics import REGISTRY
+from repro.service.cache import ResultCache, cache_key
 from repro.service.catalog import (
     CATALOG,
+    DTYPE_BY_NAME,
     MeasureRequest,
     execute_request,
 )
@@ -98,6 +104,48 @@ class TestCatalog:
     def test_invalid_requests_rejected(self, payload):
         with pytest.raises(ConfigurationError):
             MeasureRequest.from_json(payload)
+
+
+def _generated_payloads(n: int, seed: int) -> list[dict]:
+    """Valid wire requests over every catalogue field."""
+    rng = random.Random(seed)
+    payloads = []
+    for _ in range(n):
+        primitive = rng.choice(sorted(CATALOG))
+        system = rng.randint(1, 3)
+        payload = {"primitive": primitive, "system": system,
+                   "dtype": rng.choice(sorted(DTYPE_BY_NAME)),
+                   "n_runs": rng.choice([None, rng.randint(1, 64)])}
+        if CATALOG[primitive].substrate == "cpu":
+            payload["threads"] = rng.randint(
+                2, cpu_preset(system).max_threads)
+        else:
+            payload["threads"] = rng.randint(1, 1024)
+            payload["blocks"] = rng.randint(1, 64)
+        payloads.append(payload)
+    return payloads
+
+
+class TestCanonicalIdentity:
+    """Cache identity is byte-identical to the ``asdict`` formula, so
+    entries written before still hit."""
+
+    def test_canonical_equals_asdict_in_field_order(self):
+        for payload in _generated_payloads(300, seed=23):
+            request = MeasureRequest.from_json(payload)
+            canonical = request.canonical()
+            assert canonical == dataclasses.asdict(request)
+            assert list(canonical) == list(dataclasses.asdict(request))
+
+    def test_lookup_key_is_the_asdict_key(self, tmp_path):
+        with MeasurementService(ServiceConfig(
+                workers=0, cache_dir=tmp_path / "cache")) as service:
+            fingerprint = json.dumps(service.fingerprint, sort_keys=True)
+            for payload in _generated_payloads(100, seed=29):
+                request = MeasureRequest.from_json(payload)
+                assert service.lookup(payload).key == cache_key(
+                    dataclasses.asdict(request), fingerprint,
+                    repro.__version__)
 
 
 class TestWorkerPool:
@@ -271,6 +319,78 @@ class TestServiceInline:
         assert gauges["service.latency_p50_ms"] > 0
 
 
+class TestLookup:
+    """The front half of a submission: one validation, one key, one
+    cache read, no side effects; it says whether finishing can block."""
+
+    PAYLOAD = {"primitive": "omp_barrier"}
+
+    def _service(self, tmp_path, **overrides):
+        base = dict(workers=0, cache_dir=tmp_path / "cache")
+        base.update(overrides)
+        return MeasurementService(ServiceConfig(**base))
+
+    def test_blocking_flags(self, tmp_path):
+        with self._service(tmp_path) as service:
+            miss = service.lookup(self.PAYLOAD)
+            assert (miss.hit, miss.blocking, miss.entry) == (
+                False, True, None)
+            service.submit(miss)
+            hit = service.lookup(self.PAYLOAD)
+            assert (hit.hit, hit.blocking) == (True, False)
+            invalid = service.lookup({"primitive": "nope"})
+            assert isinstance(invalid.error, ConfigurationError)
+            assert (invalid.key, invalid.blocking) == (None, False)
+        with self._service(tmp_path, cache_ttl_s=0.0) as service:
+            stale = service.lookup(self.PAYLOAD)
+            assert stale.entry is not None
+            assert (stale.hit, stale.blocking) == (False, True)
+        with self._service(tmp_path, checkpoint_path=tmp_path /
+                           "ledger.json") as service:
+            assert service.lookup(self.PAYLOAD).blocking
+            assert service.lookup({"primitive": "nope"}).blocking
+
+    def test_lookup_has_no_side_effects(self, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        with self._service(tmp_path, checkpoint_path=ledger) as service:
+            before = _service_counters()
+            service.lookup(self.PAYLOAD)
+            service.lookup({"primitive": "nope"})
+            assert _service_counters() == before
+            assert service.latency.count == 0
+            assert not ledger.exists() or \
+                not json.loads(ledger.read_text())["experiments"]
+
+    def test_submitted_record_matches_a_raw_submit(self, tmp_path):
+        with self._service(tmp_path) as service:
+            service.submit(self.PAYLOAD)
+            via_record = service.submit(service.lookup(self.PAYLOAD))
+            direct = service.submit(self.PAYLOAD)
+        for response in (via_record, direct):
+            response.pop("latency_ms")
+            response.pop("age_seconds")
+        assert via_record == direct
+
+    def test_degraded_answer_reuses_the_one_cache_read(self, tmp_path,
+                                                       monkeypatch):
+        with self._service(tmp_path) as service:
+            service.submit(self.PAYLOAD)
+        reads = []
+        get = ResultCache.get
+        monkeypatch.setattr(ResultCache, "get", lambda self, key: (
+            reads.append(key), get(self, key))[1])
+        broken = self._service(
+            tmp_path, cache_ttl_s=0.0,
+            retry=RetryPolicy(max_attempts=2, base_delay_s=0.001),
+            fault_plan=ProcessFaultPlan(crash_prob=1.0, seed=4))
+        with broken as service:
+            outcome = service.submit(self.PAYLOAD)
+        assert (outcome["status"], outcome["cache"]) == (
+            "degraded", "stale")
+        assert outcome["stale_seconds"] >= 0
+        assert len(reads) == 1
+
+
 class TestCoalescing:
     """Single-flight: concurrent identical misses share one execution."""
 
@@ -278,10 +398,10 @@ class TestCoalescing:
         import time as _time
         orig = MeasurementService._measure_miss
 
-        def slow(self, request, key):
-            calls.append(key)
+        def slow(self, found):
+            calls.append(found.key)
             _time.sleep(0.15)  # hold the flight open for the followers
-            return orig(self, request, key)
+            return orig(self, found)
 
         monkeypatch.setattr(MeasurementService, "_measure_miss", slow)
         return MeasurementService(
