@@ -58,27 +58,6 @@ def make_rng(label: str, seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(mixed)
 
 
-def mix_label_seed(label: str, seed: int = 0) -> int:
-    """The 32-bit entropy :func:`make_rng` feeds to ``default_rng``."""
-    return zlib.crc32(label.encode("utf-8")) ^ (seed * 0x9E3779B9 & 0xFFFFFFFF)
-
-
-def label_prefix_crc(prefix: str) -> int:
-    """CRC32 of a label prefix, for incremental per-run label hashing.
-
-    ``zlib.crc32`` is incremental: ``crc32(a + b) == crc32(b, crc32(a))``,
-    so a sweep can hash its point-label prefix once and derive each
-    ``.../run{i}`` suffix from the cached intermediate.
-    """
-    return zlib.crc32(prefix.encode("utf-8"))
-
-
-def mix_suffix(prefix_crc: int, suffix: str, seed: int = 0) -> int:
-    """Entropy for ``prefix + suffix`` given :func:`label_prefix_crc`."""
-    return zlib.crc32(suffix.encode("utf-8"), prefix_crc) ^ \
-        (seed * 0x9E3779B9 & 0xFFFFFFFF)
-
-
 # --------------------------------------------------------------------- #
 # Vectorized replica of numpy's SeedSequence -> PCG64 seeding pipeline.
 # Constants from numpy/random/bit_generator.pyx (ISAAC-derived hash mix)

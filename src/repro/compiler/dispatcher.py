@@ -2,50 +2,47 @@
 
 The paper's characterization sweeps re-launch the same interpreted
 kernels thousands of times per (primitive, contention, machine) point,
-so per-launch interpretation cost dominates.  This module memoizes work
-per **signature** — (kernel identity, machine fingerprint, launch
-config, memory contents; for an OpenMP region the config is the team
-size, affinity, consistency model and whether the race detector
-runs) — the way a JIT dispatcher memoizes a
-specialized callable per type signature:
+so per-launch interpretation cost dominates.  This module memoizes
+whole CUDA launches and OpenMP regions the way a JIT dispatcher
+memoizes a specialized callable per type signature: the first
+successful launch of a key records its outcome (changed memory bytes,
+per-block cycles or thread times, stats, step charges), and identical
+re-launches apply the recorded effects without stepping a single
+generator.  Misses and ineligible launches run the interpreter
+untouched; a miss's outcome is then recorded.
 
-* **Replay tier**: the first successful launch of a signature records
-  its outcome (changed memory bytes, per-block cycles, stats, step
-  charges); identical re-launches apply the recorded effects without
-  stepping a single generator.  Sound because eligibility requires the
-  kernel to pass :func:`repro.compiler.lift.kernel_purity`, and the key
-  covers every remaining input: the kernel signature
-  (:func:`function_signature`) freezes the current values of its
-  closure cells, defaults, and the module globals it loads, and strict
-  mode accepts only deeply immutable values there.  The key is a
-  ``(shape digest, content digest)`` pair: the shape digest covers the
-  kernel signature, launch config, machine fingerprint and array
-  names/dtypes/shapes; the content digest covers the array bytes.
-* **Fast/reference tiers**: every miss, and every ineligible launch,
-  runs on the batched fast path (or the scalar reference) untouched;
-  a miss's outcome is then recorded for the next identical launch.
+Every key is a value.  :meth:`Dispatcher._key` is the one keying path
+and holds the whole eligibility chain:
+
+1. the mode (:func:`dispatch_disabled` turns keying off);
+2. the machine's identity: its frozen parameter objects themselves —
+   ``spec``/``params``/``atomics`` on a GPU, ``topology``/``params``/
+   ``jitter`` on a CPU — the same values its run contexts key on.  A
+   machine without them (a fault wrapper) falls back;
+3. purity: :func:`repro.compiler.lift.kernel_purity` (skipped by
+   :func:`dispatch_forced`);
+4. the kernel signature (:func:`function_signature`), which freezes the
+   current values of its closure cells, defaults and the module globals
+   it loads;
+5. the memory: array names, dtypes and shapes, plus a digest of the
+   bytes (all-ndarray memory under a size cap).
+
+The key is a ``(shape digest, content digest)`` pair.  The shape digest
+is the ``repr`` of everything but the array bytes, taken at launch
+time, so swapping a machine's parameters or flipping a field inside
+them in place keys a different entry; nothing cached under the old
+values can be served, and stale entries age out of the LRU.
 
 Replay is byte-identical to the reference interpreter; the
 differential-fuzz harness pins this with the dispatcher forced on.
 
-Keys include a **machine fingerprint**: a digest of the machine's
-parameter dataclasses, revalidated against the live objects on every
-launch, so mutating or swapping machine parameters invalidates cached
-entries immediately (stale entries age out of the LRU).
-
 Counters (docs/observability.md): ``dispatch.hit`` / ``dispatch.miss``
 (keyed launches served / not served from the replay cache),
-``dispatch.fallback`` (launches left to the fast/scalar tiers because
-they are ineligible), and ``dispatch.evictions``.  When a recorder is
+``dispatch.fallback`` (launches left to the interpreter because they
+are ineligible), and ``dispatch.evictions``.  When a recorder is
 installed a replay hit also emits a ``dispatch.replay`` span, which
 traced service requests carry across process boundaries
 (docs/observability.md, "Cross-process trace context").
-
-The ``SYNCPERF_DISPATCH`` environment variable (``on`` default,
-``off``, ``force``) and the :func:`dispatch_disabled` /
-:func:`dispatch_forced` context managers control engagement; ``force``
-skips the static purity proof and lets the signature freeze mutable
-cells and globals by value; it is meant for the fuzz harness.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import marshal
-import os
 import threading
 import types
 from collections import OrderedDict
@@ -82,10 +78,7 @@ _MODE_STACK: list[str] = []
 
 def dispatch_mode() -> str:
     """Current engagement mode: ``"on"``, ``"off"``, or ``"force"``."""
-    if _MODE_STACK:
-        return _MODE_STACK[-1]
-    mode = os.environ.get("SYNCPERF_DISPATCH", "on").lower()
-    return mode if mode in ("on", "off", "force") else "on"
+    return _MODE_STACK[-1] if _MODE_STACK else "on"
 
 
 @contextmanager
@@ -111,76 +104,42 @@ def dispatch_forced():
 
 
 # --------------------------------------------------------------------- #
-# Fingerprints and signatures
+# Machine identity and signatures
 # --------------------------------------------------------------------- #
 
-class _Unfingerprintable(Exception):
-    pass
+def _machine_identity(machine) -> tuple | None:
+    """The machine's frozen parameter objects, or None when it has none
+    (dispatch then falls back).  The replay key takes their ``repr``
+    at launch time, so the key follows their current values."""
+    if hasattr(machine, "spec") and hasattr(machine, "atomics"):
+        kind, parts = "gpu", (machine.spec, machine.params, machine.atomics)
+    elif hasattr(machine, "topology") and hasattr(machine, "jitter"):
+        kind, parts = "cpu", (machine.topology, machine.params,
+                              machine.jitter)
+    else:
+        return None
+    # A dataclass's repr lists its field values; anything else might
+    # print an object address that hides an in-place change.
+    if not all(map(is_dataclass, parts)):
+        return None
+    return (kind, type(machine).__qualname__, *parts)
 
 
-def _freeze_state(x, depth: int = 0):
-    """Recursively convert parameter objects into a stable value tree."""
-    if depth > 8:
-        raise _Unfingerprintable("nesting too deep")
-    if x is None or isinstance(x, (bool, int, float, str, bytes)):
-        return x
+def _freeze_state(x):
+    """A value tree for a deeply immutable cell value
+    (:func:`repro.compiler.lift.immutable_value`) whose ``repr`` keeps
+    apart values that print alike."""
     if isinstance(x, enum.Enum):
         return ("enum", type(x).__qualname__, x.name)
     if isinstance(x, np.dtype):
         return ("dtype", x.str)
     if isinstance(x, (np.integer, np.floating, np.bool_)):
         return ("np", x.dtype.str, x.item())
-    if isinstance(x, (tuple, list)):
-        return ("seq", tuple(_freeze_state(v, depth + 1) for v in x))
-    if isinstance(x, (set, frozenset)):
-        return ("set", tuple(sorted(
-            (_freeze_state(v, depth + 1) for v in x), key=repr)))
-    if isinstance(x, dict):
-        return ("map", tuple(sorted(
-            ((k, _freeze_state(v, depth + 1)) for k, v in x.items()),
-            key=repr)))
-    if is_dataclass(x) and not isinstance(x, type):
-        return ("dc", type(x).__qualname__,
-                tuple((f.name, _freeze_state(getattr(x, f.name), depth + 1))
-                      for f in _dc_fields(x)))
-    if isinstance(x, np.ndarray):
-        return ("nd", x.dtype.str, x.shape,
-                hashlib.blake2b(x.tobytes(), digest_size=16).digest())
-    raise _Unfingerprintable(type(x).__name__)
-
-
-_fp_cache: dict[int, tuple] = {}
-
-
-def machine_fingerprint(machine) -> bytes | None:
-    """Digest of a machine's full parameter state, or None when the
-    machine is not fingerprintable (dispatch then disengages).
-
-    The parameter tree is re-frozen and compared against the cached
-    state on every call, so in-place parameter mutation invalidates the
-    fingerprint immediately.
-    """
-    try:
-        if hasattr(machine, "spec") and hasattr(machine, "atomics"):
-            state = ("gpu", type(machine).__qualname__,
-                     _freeze_state(machine.spec),
-                     _freeze_state(machine.params),
-                     _freeze_state(machine.atomics))
-        elif hasattr(machine, "topology") and hasattr(machine, "jitter"):
-            state = ("cpu", type(machine).__qualname__,
-                     _freeze_state(machine.topology),
-                     _freeze_state(machine.params),
-                     _freeze_state(machine.jitter))
-        else:
-            return None
-    except _Unfingerprintable:
-        return None
-    cached = _fp_cache.get(id(machine))
-    if cached is not None and cached[0] == state:
-        return cached[1]
-    digest = hashlib.blake2b(repr(state).encode(), digest_size=16).digest()
-    _fp_cache[id(machine)] = (state, digest)
-    return digest
+    if isinstance(x, tuple):
+        return ("seq", tuple(_freeze_state(v) for v in x))
+    if isinstance(x, frozenset):
+        return ("set", tuple(sorted(map(_freeze_state, x), key=repr)))
+    return x
 
 
 _code_digests: dict = {}
@@ -270,10 +229,10 @@ def _shape_digest(sig: tuple) -> bytes:
     """Collapse a launch's structural signature into 16 bytes.
 
     The signature holds only primitives, bytes digests, enums, and
-    (frozen) dataclasses, all with deterministic ``repr``.  The digest
-    prefixes the replay key; ``repr`` keeps apart values that tuple
-    equality would merge (``1``, ``1.0``, ``True``; ``0.0`` and
-    ``-0.0``).
+    frozen dataclasses (the launch config, the machine's parameter
+    objects), all with deterministic ``repr``.  The digest prefixes the
+    replay key; ``repr`` keeps apart values that tuple equality would
+    merge (``1``, ``1.0``, ``True``; ``0.0`` and ``-0.0``).
     """
     return hashlib.blake2b(repr(sig).encode(), digest_size=16).digest()
 
@@ -282,29 +241,17 @@ def _shape_digest(sig: tuple) -> bytes:
 # Cache entries
 # --------------------------------------------------------------------- #
 
-class _CudaEntry:
-    __slots__ = ("writes", "block_cycles", "stats", "steps", "nbytes")
+class _Entry:
+    """One recorded launch: the changed memory bytes, the interpreter's
+    result fields, and the step count a replay must still have room
+    for."""
 
-    def __init__(self, writes, block_cycles, stats, steps):
+    __slots__ = ("writes", "result", "steps", "nbytes")
+
+    def __init__(self, writes, result, steps):
         self.writes = writes
-        self.block_cycles = block_cycles
-        self.stats = stats
+        self.result = result
         self.steps = steps
-        self.nbytes = sum(len(b) for b in writes.values()) + 256
-
-
-class _OmpEntry:
-    __slots__ = ("writes", "times", "elapsed", "barriers", "requests",
-                 "max_steps", "nbytes")
-
-    def __init__(self, writes, times, elapsed, barriers, requests,
-                 max_steps):
-        self.writes = writes
-        self.times = times
-        self.elapsed = elapsed
-        self.barriers = barriers
-        self.requests = requests
-        self.max_steps = max_steps
         self.nbytes = sum(len(b) for b in writes.values()) + 256
 
 
@@ -313,16 +260,6 @@ def _apply_writes(writes: dict[str, bytes],
     for var, buf in writes.items():
         arr = memory[var]
         arr.reshape(-1)[:] = np.frombuffer(buf, dtype=arr.dtype)
-
-
-def _diff_writes(pre: dict[str, bytes],
-                 memory: dict[str, np.ndarray]) -> dict[str, bytes]:
-    writes = {}
-    for var, before in pre.items():
-        after = memory[var].tobytes()
-        if after != before:
-            writes[var] = after
-    return writes
 
 
 # --------------------------------------------------------------------- #
@@ -409,28 +346,25 @@ class Dispatcher:
             h.update(buf)
         return tuple(static), h.digest(), pre
 
-    # ------------------------------- CUDA ----------------------------- #
+    def _key(self, machine, fn, memory, extra: tuple) -> tuple | None:
+        """``((shape digest, content digest), pre-bytes snapshot)`` for
+        one launch, or None when it is not keyed.
 
-    def begin_cuda(self, cuda, kernel, launch, memory, shared_decls):
-        """Key one CUDA launch; returns a ticket or None (disengaged).
-
-        Eligibility: dispatch mode on/force, fingerprintable device,
-        statically pure kernel with immutable cells (skipped under
-        ``force``), all-ndarray memory under the size cap.
+        The one eligibility chain of the module docstring: mode,
+        machine identity, purity (skipped under ``force``), signature,
+        memory.  ``extra`` is the launch configuration.
         """
         mode = dispatch_mode()
         if mode == "off":
             return None
-        fp = machine_fingerprint(cuda.device)
-        if fp is None:
-            _C_FALLBACK.add(1)
-            return None
+        identity = _machine_identity(machine)
         forced = mode == "force"
-        if not forced and not lift.kernel_purity(kernel)[0]:
+        if identity is None or \
+                (not forced and not lift.kernel_purity(fn)[0]):
             _C_FALLBACK.add(1)
             return None
         try:
-            ksig = function_signature(kernel, forced)
+            sig = function_signature(fn, forced)
         except _Unsignable:
             _C_FALLBACK.add(1)
             return None
@@ -439,168 +373,156 @@ class Dispatcher:
             _C_FALLBACK.add(1)
             return None
         static, content, pre = digested
+        shape = _shape_digest((extra, sig, identity, static))
+        return (shape, content), pre
+
+    def begin_cuda(self, cuda, kernel, launch, memory, shared_decls):
+        """Key one CUDA launch; returns a ticket or None (not keyed)."""
         shared_sig = tuple(sorted(
             (name, size, np.dtype(dt).str)
             for name, (size, dt) in shared_decls.items()))
-        shape = _shape_digest(
-            ("cuda", ksig, launch, shared_sig, fp, static))
-        return _CudaTicket(self, launch, memory, (shape, content), pre)
-
-    # ------------------------------ OpenMP ---------------------------- #
+        keyed = self._key(cuda.device, kernel, memory,
+                          ("cuda", launch, shared_sig))
+        if keyed is None:
+            return None
+        return _CudaTicket(self, *keyed, memory, launch)
 
     def begin_omp(self, omp, body, shared):
         """Key one OpenMP parallel region; returns a ticket or None.
 
-        The key covers the body signature, team size, affinity,
-        consistency model, ``detect_races``, machine fingerprint and
-        memory contents.
+        The configuration covers team size, affinity, consistency model
+        and ``detect_races``: an entry recorded without the detector
+        may hide a race, so it must never serve a detecting region.  A
+        detecting entry is always race-free: ``record`` refuses races,
+        and a raising run never records.
         """
-        mode = dispatch_mode()
-        if mode == "off":
-            return None
-        fp = machine_fingerprint(omp.machine)
-        if fp is None:
-            _C_FALLBACK.add(1)
-            return None
-        forced = mode == "force"
-        if not forced and not lift.kernel_purity(body)[0]:
-            _C_FALLBACK.add(1)
-            return None
-        try:
-            bsig = function_signature(body, forced)
-        except _Unsignable:
-            _C_FALLBACK.add(1)
-            return None
         shared_map = dict(shared or {})
-        digested = self._digest_memory(shared_map)
-        if digested is None:
-            _C_FALLBACK.add(1)
+        keyed = self._key(omp.machine, body, shared_map,
+                          ("omp", omp.n_threads, omp.affinity,
+                           omp.relaxed_consistency, omp.detect_races))
+        if keyed is None:
             return None
-        static, content, pre = digested
-        # An entry recorded without the detector may hide a race, so it
-        # must never serve a detecting region.  A detecting entry is
-        # always race-free: ``record`` refuses races, and a raising run
-        # never records.
-        shape = _shape_digest(
-            ("omp", bsig, omp.n_threads, omp.affinity,
-             omp.relaxed_consistency, omp.detect_races, fp, static))
-        return _OmpTicket(self, omp, shared_map, (shape, content), pre)
+        return _OmpTicket(self, *keyed, shared_map, omp)
 
 
-class _CudaTicket:
-    """One keyed CUDA launch: replay, or record after a miss."""
+def _run_lifted(self, *args) -> None:
+    """Always None; nothing in the package calls it.
 
-    __slots__ = ("disp", "launch", "memory", "key", "pre", "hit")
+    Kept only because the benchmark's traced layer table
+    (``syncbench/tracing.py``) wraps ``run_lifted`` by name on each
+    ticket class.  It goes with the next benchmark change, once that
+    table drops it.
+    """
+    return None
 
-    def __init__(self, disp, launch, memory, key, pre):
+
+class _Ticket:
+    """One keyed launch: replay, or record after a miss."""
+
+    __slots__ = ("disp", "key", "pre", "memory", "hit")
+
+    def __init__(self, disp, key, pre, memory):
         self.disp = disp
-        self.launch = launch
-        self.memory = memory
         self.key = key
         self.pre = pre
+        self.memory = memory
         self.hit = False
+
+    def _lookup(self, room: int):
+        """The recorded entry, or None (a miss) when there is none or
+        its steps exceed ``room``."""
+        entry = self.disp._get_entry(self.key)
+        if entry is None or entry.steps > room:
+            _C_MISS.add(1)
+            return None
+        self.hit = True
+        _C_HIT.add(1)
+        return entry
+
+    def _store(self, result: tuple, steps: int) -> None:
+        writes = {}
+        for var, before in self.pre.items():
+            after = self.memory[var].tobytes()
+            if after != before:
+                writes[var] = after
+        entry = _Entry(writes, result, steps)
+        if entry.nbytes <= self.disp.memory_cap:
+            self.disp._put_entry(self.key, entry)
+
+
+class _CudaTicket(_Ticket):
+    """One keyed CUDA launch."""
+
+    __slots__ = ("launch",)
+
+    def __init__(self, disp, key, pre, memory, launch):
+        super().__init__(disp, key, pre, memory)
+        self.launch = launch
 
     def replay(self, stats, budget) -> list[float] | None:
         """Apply a recorded launch, or None on miss."""
-        entry = self.disp._get_entry(self.key)
-        if entry is None or entry.steps > budget.remaining:
-            _C_MISS.add(1)
+        entry = self._lookup(budget.remaining)
+        if entry is None:
             return None
+        block_cycles, stat_deltas = entry.result
         with obs_span("dispatch.replay", kind="cuda",
                       blocks=self.launch.grid_blocks):
             _apply_writes(entry.writes, self.memory)
-            for name, delta in entry.stats:
+            for name, delta in stat_deltas:
                 setattr(stats, name, getattr(stats, name) + delta)
             budget.charge(entry.steps)
-        self.hit = True
-        _C_HIT.add(1)
-        return list(entry.block_cycles)
+        return list(block_cycles)
 
-    def run_lifted(self, *args) -> None:
-        """Always None; nothing in the package calls it.
-
-        Kept only because the benchmark's traced layer table
-        (``syncbench/tracing.py``) wraps this method by name.  It goes
-        with the next benchmark change, once that table drops it.
-        """
-        return None
+    run_lifted = _run_lifted
 
     def record(self, block_cycles, stats, budget) -> None:
         """Store the completed launch for future replay (miss only)."""
         if self.hit:
             return
-        writes = _diff_writes(self.pre, self.memory)
-        entry = _CudaEntry(
-            writes=writes,
-            block_cycles=tuple(block_cycles),
-            stats=tuple((f.name, getattr(stats, f.name))
-                        for f in _dc_fields(stats)
-                        if getattr(stats, f.name)),
-            steps=budget.used,
-        )
-        if entry.nbytes <= self.disp.memory_cap:
-            self.disp._put_entry(self.key, entry)
+        stat_deltas = tuple((f.name, getattr(stats, f.name))
+                            for f in _dc_fields(stats)
+                            if getattr(stats, f.name))
+        self._store((tuple(block_cycles), stat_deltas), budget.used)
 
 
-class _OmpTicket:
-    """One keyed OpenMP region: replay, or record after a miss."""
+class _OmpTicket(_Ticket):
+    """One keyed OpenMP region."""
 
-    __slots__ = ("disp", "omp", "shared_map", "key", "pre", "hit")
+    __slots__ = ("omp",)
 
-    def __init__(self, disp, omp, shared_map, key, pre):
-        self.disp = disp
+    def __init__(self, disp, key, pre, memory, omp):
+        super().__init__(disp, key, pre, memory)
         self.omp = omp
-        self.shared_map = shared_map
-        self.key = key
-        self.pre = pre
-        self.hit = False
 
     def replay(self):
         """Apply a recorded region; returns a ParallelResult or None."""
-        entry = self.disp._get_entry(self.key)
-        if entry is None or self.omp.max_steps < entry.max_steps:
-            _C_MISS.add(1)
+        entry = self._lookup(self.omp.max_steps)
+        if entry is None:
             return None
         from repro.openmp.interpreter import ParallelResult
+        times, elapsed, barriers, requests = entry.result
         with obs_span("dispatch.replay", kind="omp"):
-            memory = dict(self.shared_map)
+            memory = dict(self.memory)
             _apply_writes(entry.writes, memory)
-        self.hit = True
-        _C_HIT.add(1)
         return ParallelResult(
             memory=memory,
-            thread_times_ns=list(entry.times),
-            elapsed_ns=entry.elapsed,
+            thread_times_ns=list(times),
+            elapsed_ns=elapsed,
             races=[],
-            barriers=entry.barriers,
-            requests=entry.requests,
+            barriers=barriers,
+            requests=requests,
             trace=None,
         )
 
-    def run_lifted(self, *args) -> None:
-        """Always None; nothing in the package calls it.
-
-        Kept only because the benchmark's traced layer table
-        (``syncbench/tracing.py``) wraps this method by name.  It goes
-        with the next benchmark change, once that table drops it.
-        """
-        return None
+    run_lifted = _run_lifted
 
     def record(self, result) -> None:
         """Store the completed region for future replay (miss only)."""
         if self.hit or result.trace is not None or result.races:
             return
-        writes = _diff_writes(self.pre, self.shared_map)
-        entry = _OmpEntry(
-            writes=writes,
-            times=tuple(result.thread_times_ns),
-            elapsed=result.elapsed_ns,
-            barriers=result.barriers,
-            requests=result.requests,
-            max_steps=self.omp.max_steps,
-        )
-        if entry.nbytes <= self.disp.memory_cap:
-            self.disp._put_entry(self.key, entry)
+        self._store((tuple(result.thread_times_ns), result.elapsed_ns,
+                     result.barriers, result.requests),
+                    self.omp.max_steps)
 
 
 #: The process-wide dispatcher every interpreter shares.

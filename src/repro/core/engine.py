@@ -77,7 +77,7 @@ from repro.common.rng import RngStreamPool, make_rng
 from repro.core.protocol import MeasurementProtocol
 from repro.core.results import MeasurementResult
 from repro.core.spec import MeasurementSpec
-from repro.faults.machine import wrap_machine
+from repro.faults.machine import FaultyMachine, wrap_machine
 from repro.faults.scenario import active_scenario
 from repro.obs import event as obs_event
 from repro.obs import get_recorder
@@ -194,6 +194,12 @@ class MeasurementEngine:
         self.protocol = protocol or MeasurementProtocol()
         self.fast = _FAST_DEFAULT if fast is None else fast
         self._pool = RngStreamPool() if self.fast else None
+        # Point plans are memoized on the caller's context, keyed on the
+        # machine.  A fault wrapper is built per engine, so keying on it
+        # would pin one wrapper (and its fault stream) per engine in a
+        # context that outlives them all; its plans are rebuilt instead.
+        self._plan_memo = self.fast and \
+            not isinstance(self.machine, FaultyMachine)
 
     def prime(self, spec: MeasurementSpec, labels: list[str],
               protocol: MeasurementProtocol | None = None) -> None:
@@ -306,12 +312,15 @@ class MeasurementEngine:
         ops, costs, whether the point is provably noise-free, and the
         machine's compiled noise sampler.  Every entry is a pure function
         of (machine, spec, ctx) and the two protocol fields that affect
-        costs (unroll, n_warmup), so a fast engine memoizes the plan on
-        the context.  A ``fast=False`` engine recomputes it per point and
-        never asks for silence or a sampler."""
+        costs (unroll, n_warmup), so a fast engine on an unwrapped
+        machine memoizes the plan on the context.  A fault-wrapped
+        engine rebuilds it per point (it never has silence or a
+        sampler), and a ``fast=False`` engine recomputes it per point
+        and never asks for either."""
         machine = self.machine
         fast = self.fast
-        cache = getattr(ctx, "_cost_cache", None) if fast else None
+        cache = getattr(ctx, "_cost_cache", None) if self._plan_memo \
+            else None
         key = None
         if cache is not None:
             key = ("plan", machine, spec, proto.unroll, proto.n_warmup)

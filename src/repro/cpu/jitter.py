@@ -67,55 +67,16 @@ class JitterModel:
 
         The engine samples the same (hyperthreaded, base-cost pair)
         configuration ``n_runs x attempts`` times per sweep point; this
-        precomputes each body's sigma and spike scale once and returns a
-        binder ``bind(rng) -> sample()``.  Each ``sample()`` call draws
-        one attempt's ``(noise_b, noise_t)``, consuming the stream
-        exactly as two sequential :meth:`sample_run_noise` calls would
-        (normal, uniform, then a conditional exponential per body: the
-        conditional spike draw forbids reordering).
-
-        Binders are memoized per (hyperthreaded, base-cost pair): claims
-        re-measure the sweep's points, so the same configurations recur
-        within a campaign.
+        returns a binder ``bind(rng) -> sample()`` that derives each
+        body's sigma and spike scale once per bind.  Each ``sample()``
+        call draws one attempt's ``(noise_b, noise_t)``, consuming the
+        stream exactly as two sequential :meth:`sample_run_noise` calls
+        would (normal, uniform, then a conditional exponential per body:
+        the conditional spike draw forbids reordering).  The engine
+        keeps the binder in its per-context point plan, the one memo of
+        it.
         """
-        cache = self.__dict__.get("_sampler_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_sampler_cache", cache)
-        key = (hyperthreaded, tuple(base_costs_ns))
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        rel = self.rel_sigma + (self.ht_rel_sigma if hyperthreaded else 0.0)
-        spike_prob = self.spike_prob
-        base_b, base_t = (cost if cost > 0.0 else 0.0
-                          for cost in base_costs_ns)
-        sigma_b = self.abs_sigma_ns + rel * base_b
-        sigma_t = self.abs_sigma_ns + rel * base_t
-        spike_b = self.spike_abs_ns + self.spike_rel * base_b
-        spike_t = self.spike_abs_ns + self.spike_rel * base_t
-
-        def bind(rng: np.random.Generator):
-            # Bind the stream's methods once: the engine's pooled
-            # generator is one object reseeded per run, so the bound
-            # methods stay valid across a whole sweep point.
-            normal = rng.normal
-            uniform = rng.random
-            exponential = rng.exponential
-
-            def sample() -> tuple[float, float]:
-                noise_b = float(normal(0.0, sigma_b))
-                if uniform() < spike_prob:
-                    noise_b += float(exponential(spike_b))
-                noise_t = float(normal(0.0, sigma_t))
-                if uniform() < spike_prob:
-                    noise_t += float(exponential(spike_t))
-                return noise_b, noise_t
-
-            return sample
-
-        cache[key] = bind
-        return bind
+        return _PairSampler(self, hyperthreaded, *base_costs_ns)
 
     @property
     def is_silent(self) -> bool:
@@ -149,3 +110,50 @@ class JitterModel:
             spike_rel=self.spike_rel * factor,
             spike_abs_ns=self.spike_abs_ns * factor,
         )
+
+
+class _PairSampler:
+    """The binder :meth:`JitterModel.make_sampler` returns.
+
+    Every engine point plan holds one, so it keeps only references to
+    values the plan already holds, and derives the sigmas and spike
+    scales when it binds (once per point or run), never per draw.
+    """
+
+    __slots__ = ("jitter", "hyperthreaded", "base_b", "base_t")
+
+    def __init__(self, jitter: JitterModel, hyperthreaded: bool,
+                 base_b: float, base_t: float) -> None:
+        self.jitter = jitter
+        self.hyperthreaded = hyperthreaded
+        self.base_b = base_b
+        self.base_t = base_t
+
+    def __call__(self, rng: np.random.Generator):
+        jitter = self.jitter
+        rel = jitter.rel_sigma + \
+            (jitter.ht_rel_sigma if self.hyperthreaded else 0.0)
+        base_b = self.base_b if self.base_b > 0.0 else 0.0
+        base_t = self.base_t if self.base_t > 0.0 else 0.0
+        sigma_b = jitter.abs_sigma_ns + rel * base_b
+        sigma_t = jitter.abs_sigma_ns + rel * base_t
+        spike_prob = jitter.spike_prob
+        spike_b = jitter.spike_abs_ns + jitter.spike_rel * base_b
+        spike_t = jitter.spike_abs_ns + jitter.spike_rel * base_t
+        # Bind the stream's methods once: the engine's pooled generator
+        # is one object reseeded per run, so the bound methods stay
+        # valid across a whole sweep point.
+        normal = rng.normal
+        uniform = rng.random
+        exponential = rng.exponential
+
+        def sample() -> tuple[float, float]:
+            noise_b = float(normal(0.0, sigma_b))
+            if uniform() < spike_prob:
+                noise_b += float(exponential(spike_b))
+            noise_t = float(normal(0.0, sigma_t))
+            if uniform() < spike_prob:
+                noise_t += float(exponential(spike_t))
+            return noise_b, noise_t
+
+        return sample

@@ -44,6 +44,10 @@ class FaultyMachine:
     """
 
     def __init__(self, machine: object, scenario: FaultScenario) -> None:
+        # Contexts and prices come from the machine as given: a storm
+        # changes only the jitter, and one long-lived machine keeps the
+        # op-price memo of a shared context from growing per wrapper.
+        self._clean = machine
         if scenario.jitter_storm != 1.0 and _has_jitter(machine):
             machine = type(machine)(
                 machine.topology, machine.params,
@@ -79,15 +83,15 @@ class FaultyMachine:
 
     def context(self, *args: object, **kwargs: object) -> object:
         """Resolve an execution context on the wrapped machine."""
-        return self.inner.context(*args, **kwargs)
+        return self._clean.context(*args, **kwargs)
 
     def op_cost(self, op: object, ctx: object) -> float:
         """The *clean* deterministic cost of one op (ground truth)."""
-        return self.inner.op_cost(op, ctx)
+        return self._clean.op_cost(op, ctx)
 
     def body_cost(self, body: object, ctx: object) -> float:
         """The *clean* deterministic cost of one loop body."""
-        return self.inner.body_cost(body, ctx)
+        return self._clean.body_cost(body, ctx)
 
     def run_noise(self, rng: np.random.Generator, ctx: object,
                   body: tuple = (), base_cost: float = 0.0) -> float:

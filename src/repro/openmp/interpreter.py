@@ -230,11 +230,17 @@ class OpenMP:
         self.max_steps = max_steps
         self.fast = fast_path_default() if fast is None else fast
         self.lint = lint
+        # Resolve the placement now, so an oversubscribed team fails
+        # here.  Each region resolves its context again
+        # (:meth:`_context`): contexts key on the machine's current
+        # parameter values, as the dispatcher's replay key does.
+        self._context()
+
+    def _context(self) -> CpuRunContext:
         # A 1-thread region is legal in the interpreter (unlike the
         # measurement sweeps, which start at 2): fall back to a 2-thread
         # placement context for costing, since costs are placement-based.
-        self._ctx: CpuRunContext = machine.context(max(n_threads, 2),
-                                                   affinity)
+        return self.machine.context(max(self.n_threads, 2), self.affinity)
 
     # ------------------------------------------------------------------ #
 
@@ -637,7 +643,7 @@ class _Region:
         # Which threads touched each location this epoch.
         self.location_threads: dict[tuple[str, int], set[int]] = {}
         self.mem_cost, self.plain_cost = make_cost_model(omp.machine,
-                                                         omp._ctx)
+                                                         omp._context())
         # Flat views and element types per variable: ``reshape(-1)``
         # allocates a fresh view per call, and ``memory`` is never
         # re-keyed mid-region.

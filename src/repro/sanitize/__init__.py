@@ -66,12 +66,6 @@ def _count(report: Report) -> Report:
     return report
 
 
-def sanitize_ir(kernel: KernelIR,
-                rules: tuple[str, ...] | None = None) -> Report:
-    """Run the rule catalog over an already-lifted kernel."""
-    return _count(run_rules(kernel, rules))
-
-
 def sanitize_kernel(fn: Callable, dialect: str | None = None,
                     rules: tuple[str, ...] | None = None) -> Report:
     """Lift and sanitize a live kernel function object.

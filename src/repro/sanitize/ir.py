@@ -15,7 +15,7 @@ dropped or folded into the taint lattice of :class:`Dep`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from repro.compiler.ops import PrimitiveKind, Scope
@@ -231,11 +231,3 @@ def _walk(stmts: tuple[Stmt, ...], ctx: Dep):
             yield from _walk(stmt.orelse, inner)
         elif isinstance(stmt, LoopStmt):
             yield from _walk(stmt.body, ctx.join(stmt.dep))
-
-
-@dataclass
-class SourceUnit:
-    """All kernels lifted from one source artifact (file or function)."""
-
-    source: str
-    kernels: list[KernelIR] = field(default_factory=list)

@@ -105,7 +105,8 @@ class ResultCache:
             "stored_at": self._clock(),
         }
         path = atomic_write_text(
-            self._path(key), json.dumps(entry, indent=1) + "\n")
+            self._path(key),
+            json.dumps(entry, separators=(",", ":")) + "\n")
         self._evict()
         return path
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -17,25 +15,6 @@ from repro.gpu.costs import GpuCostParams
 from repro.gpu.device import GpuDevice
 from repro.gpu.presets import SYSTEM1_GPU, SYSTEM2_GPU, SYSTEM3_GPU
 from repro.gpu.spec import GpuSpec
-
-
-#: Process-wide knobs individual tests may set; leaking one into the
-#: next test silently flips dispatch/engine behavior suite-wide.
-_ENV_KNOBS = ("SYNCPERF_DISPATCH",)
-
-
-@pytest.fixture(autouse=True)
-def _syncperf_env_hygiene():
-    """Snapshot and restore the SYNCPERF_* environment around each
-    test, so a test that sets (or deletes) a knob cannot bleed into
-    its neighbours."""
-    saved = {name: os.environ.get(name) for name in _ENV_KNOBS}
-    yield
-    for name, value in saved.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
 
 
 @pytest.fixture

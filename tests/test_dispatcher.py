@@ -20,10 +20,13 @@ import repro.compiler.dispatcher as dmod
 from repro.common.errors import DataRaceError, SimulationError
 from repro.compiler.dispatcher import (
     DISPATCHER, Dispatcher, dispatch_disabled, dispatch_forced,
-    machine_fingerprint,
 )
 from repro.compiler.lift import kernel_purity
+from repro.cpu.machine import CpuMachine
 from repro.cuda.interpreter import Cuda, KernelThread
+from repro.faults.machine import FaultyMachine
+from repro.faults.models import DroppedRun
+from repro.faults.scenario import FaultScenario
 from repro.gpu.costs import GpuCostParams
 from repro.gpu.device import GpuDevice
 from repro.gpu.spec import LaunchConfig
@@ -105,35 +108,109 @@ def _snapshot(memory) -> dict[str, bytes]:
 
 
 # --------------------------------------------------------------------- #
-# Machine fingerprints
+# Machine identity: the key holds the machine's parameter values
 # --------------------------------------------------------------------- #
 
 
-class TestMachineFingerprint:
-    def test_stable_across_calls(self, mini_gpu):
-        assert machine_fingerprint(mini_gpu) == \
-            machine_fingerprint(mini_gpu)
+def _change(machine, attr: str, field: str, delta, in_place: bool):
+    """Change one field of ``machine.<attr>``: flip it inside the frozen
+    object, or swap in an edited copy."""
+    obj = getattr(machine, attr)
+    value = getattr(obj, field) + delta
+    if in_place:
+        object.__setattr__(obj, field, value)
+    else:
+        setattr(machine, attr, dataclasses.replace(obj, **{field: value}))
 
-    def test_changes_with_cost_params(self, mini_gpu):
-        other = GpuDevice(mini_gpu.spec, dataclasses.replace(
-            GpuCostParams(), sync_base_cycles=999))
-        assert machine_fingerprint(mini_gpu) != \
-            machine_fingerprint(other)
 
-    def test_in_place_mutation_detected(self, mini_gpu):
+def _gpu_launch(cuda):
+    memory = _memory()
+    result = cuda.launch(steady_kernel, LC, memory)
+    return (result.elapsed_cycles, result.block_cycles, result.stats,
+            _snapshot(memory))
+
+
+def _omp_shared() -> dict[str, np.ndarray]:
+    return {"hist": np.zeros(2, dtype=np.int64),
+            "out": np.zeros(4, dtype=np.int64)}
+
+
+def _omp_region(omp):
+    shared = _omp_shared()
+    result = omp.parallel(omp_body, shared)
+    return (result.elapsed_ns, result.thread_times_ns, result.barriers,
+            result.requests, _snapshot(shared))
+
+
+def _copy_cpu(machine):
+    """A fresh machine at ``machine``'s current parameter values."""
+    return CpuMachine(*(dataclasses.replace(getattr(machine, attr))
+                        for attr in ("topology", "params", "jitter")))
+
+
+_IN_PLACE = pytest.mark.parametrize("in_place", [False, True],
+                                    ids=["swap", "in-place"])
+
+
+class TestMachineIdentity:
+    def test_equal_devices_share_an_entry(self, mini_gpu):
+        DISPATCHER.clear()
+        first = _gpu_launch(Cuda(GpuDevice(mini_gpu.spec, GpuCostParams())))
+        before = _counters(*DISPATCH)
+        twin = _gpu_launch(Cuda(GpuDevice(mini_gpu.spec, GpuCostParams())))
+        assert _deltas(before) == {"dispatch.hit": 1, "dispatch.miss": 0,
+                                   "dispatch.fallback": 0}
+        assert twin == first
+
+    @_IN_PLACE
+    def test_gpu_param_change_misses(self, mini_gpu, in_place):
+        DISPATCHER.clear()
         device = GpuDevice(mini_gpu.spec, GpuCostParams())
-        before = machine_fingerprint(device)
-        object.__setattr__(device.params, "sync_base_cycles",
-                           device.params.sync_base_cycles + 7)
-        assert machine_fingerprint(device) != before
+        cuda = Cuda(device)
+        base = _gpu_launch(cuda)
+        _change(device, "params", "sync_base_cycles", 7, in_place)
+        before = _counters(*DISPATCH)
+        changed = [_gpu_launch(cuda) for _ in range(2)]
+        assert _deltas(before) == {"dispatch.hit": 1, "dispatch.miss": 1,
+                                   "dispatch.fallback": 0}
+        ref = _gpu_launch(Cuda(GpuDevice(
+            device.spec, dataclasses.replace(device.params)), fast=False))
+        assert changed == [ref, ref]
+        assert ref[0] != base[0], "the change must move the timing"
 
-    def test_faulty_machine_not_fingerprintable(self, quiet_cpu):
-        from repro.faults.models import DroppedRun
-        from repro.faults.scenario import FaultScenario
-        from repro.faults.machine import FaultyMachine
-        wrapped = FaultyMachine(
+    @_IN_PLACE
+    @pytest.mark.parametrize("attr, field, delta", [
+        ("topology", "base_clock_ghz", 0.5),
+        ("params", "int_alu_ns", 5.0),
+        ("jitter", "rel_sigma", 0.01),
+    ])
+    def test_cpu_param_change_misses(self, quiet_cpu, attr, field, delta,
+                                     in_place):
+        """One runtime, built before the change, runs every region: it
+        must price at the new values, as the key sees them."""
+        DISPATCHER.clear()
+        omp = OpenMP(quiet_cpu, n_threads=4, detect_races=False)
+        base = _omp_region(omp)
+        _change(quiet_cpu, attr, field, delta, in_place)
+        before = _counters(*DISPATCH)
+        changed = [_omp_region(omp) for _ in range(2)]
+        assert _deltas(before) == {"dispatch.hit": 1, "dispatch.miss": 1,
+                                   "dispatch.fallback": 0}
+        ref = _omp_region(OpenMP(_copy_cpu(quiet_cpu), n_threads=4,
+                                 detect_races=False, fast=False))
+        assert changed == [ref, ref]
+        if attr == "params":
+            assert ref[0] != base[0], "the change must move the timing"
+
+    def test_fault_wrapper_falls_back(self, quiet_cpu):
+        """A fault wrapper carries no parameter objects of its own."""
+        omp = OpenMP(quiet_cpu, n_threads=4, detect_races=False)
+        omp.machine = FaultyMachine(
             quiet_cpu, FaultScenario("f", (DroppedRun(drop_prob=0.5),)))
-        assert machine_fingerprint(wrapped) is None
+        before = _counters(*DISPATCH)
+        assert DISPATCHER.begin_omp(omp, omp_body, _omp_shared()) is None
+        assert _deltas(before) == {"dispatch.hit": 0, "dispatch.miss": 0,
+                                   "dispatch.fallback": 1}
 
 
 # --------------------------------------------------------------------- #
@@ -307,12 +384,6 @@ class TestModes:
         before = _counters(*DISPATCH)
         with dispatch_disabled():
             Cuda(mini_gpu).launch(steady_kernel, LC, _memory())
-        assert all(v == 0 for v in _deltas(before).values())
-
-    def test_env_off(self, mini_gpu, monkeypatch):
-        monkeypatch.setenv("SYNCPERF_DISPATCH", "off")
-        before = _counters(*DISPATCH)
-        Cuda(mini_gpu).launch(steady_kernel, LC, _memory())
         assert all(v == 0 for v in _deltas(before).values())
 
     def test_forced_keys_impure_kernels(self, mini_gpu):

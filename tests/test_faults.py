@@ -157,6 +157,31 @@ class TestActiveScenario:
         assert FaultyMachine(quiet_cpu, scenario).name == quiet_cpu.name
 
 
+class TestSharedContextUnderFaults:
+    @pytest.mark.parametrize("preset", ["calm", "noisy-amd"])
+    def test_faulted_requests_leave_the_context_memo_bounded(self,
+                                                             preset):
+        """Every engine wraps the shared preset machine anew (and, under
+        a jitter storm, rebuilds it with stormed jitter).  Neither may
+        add per-request entries to the preset's shared context, and a
+        faulted engine must not be served the clean machine's plan."""
+        from repro.core.engine import reference_engine
+        from repro.service.catalog import MeasureRequest, execute_request
+        request = MeasureRequest(primitive="omp_atomic", system=3,
+                                 threads=8)
+        ctx = cpu_preset(3).context(8)
+        execute_request(request)  # the clean plan, with its sampler
+        with use_faults(PRESETS[preset]):
+            with reference_engine():
+                want = execute_request(request)
+            first = execute_request(request)
+            size = len(ctx._cost_cache)
+            for _ in range(20):
+                assert execute_request(request) == want
+        assert first == want
+        assert len(ctx._cost_cache) == size
+
+
 class TestProtocolUnderFaults:
     def test_quantize_floors_measurements(self, quiet_cpu):
         scenario = FaultScenario("q", (TimerQuantize(1000.0),))

@@ -52,6 +52,15 @@ class TestPutGet:
         assert entry is not None
         assert entry.result == RESULT
         assert entry.age_seconds == pytest.approx(42.0)
+        # Entries are compact one-line JSON; an indented entry (the
+        # layout written before) reads back through get and entries().
+        path = cache.directory / f"{key}.json"
+        text = path.read_text()
+        assert text.count("\n") == 1 and ", " not in text
+        stored = json.loads(text)
+        path.write_text(json.dumps(stored, indent=1) + "\n")
+        assert cache.get(key).result == RESULT
+        assert cache.entries() == {key: stored}
 
     def test_overwrite_updates_store_time(self, tmp_path):
         clock = FakeClock()
