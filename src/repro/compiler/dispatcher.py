@@ -6,7 +6,8 @@ so per-launch interpretation cost dominates.  This module memoizes
 whole CUDA launches and OpenMP regions the way a JIT dispatcher
 memoizes a specialized callable per type signature: the first
 successful launch of a key records its outcome (changed memory bytes,
-per-block cycles or thread times, stats, step charges), and identical
+per-block cycles or thread times, stats, step charges, and the
+timeline of a traced launch), and identical
 re-launches apply the recorded effects without stepping a single
 generator.  Misses and ineligible launches run the interpreter
 untouched; a miss's outcome is then recorded.
@@ -23,9 +24,11 @@ and holds the whole eligibility chain:
    :func:`dispatch_forced`);
 4. the kernel signature (:func:`function_signature`), which freezes the
    current values of its closure cells, defaults and the module globals
-   it loads;
+   it loads; a read-only ndarray among them is frozen by a digest of
+   its bytes, taken at this launch;
 5. the memory: array names, dtypes and shapes, plus a digest of the
-   bytes (all-ndarray memory under a size cap).
+   bytes.  The memory and the signed read-only arrays together must
+   fit the dispatcher's ``memory_cap``.
 
 The key is a ``(shape digest, content digest)`` pair.  The shape digest
 is the ``repr`` of everything but the array bytes, taken at launch
@@ -33,8 +36,15 @@ time, so swapping a machine's parameters or flipping a field inside
 them in place keys a different entry; nothing cached under the old
 values can be served, and stale entries age out of the LRU.
 
-Replay is byte-identical to the reference interpreter; the
-differential-fuzz harness pins this with the dispatcher forced on.
+A traced launch or region is keyed like any other, with the trace
+request in its configuration: an entry recorded with a timeline keeps
+the timeline's events and serves only traced relaunches, and an
+untraced entry serves only untraced ones.  A replayed traced launch
+hands back the recorded events in a fresh timeline.
+
+Replay is byte-identical to the reference interpreter, timelines
+included; the differential-fuzz harness pins this with the dispatcher
+forced on.
 
 Counters (docs/observability.md): ``dispatch.hit`` / ``dispatch.miss``
 (keyed launches served / not served from the replay cache),
@@ -125,23 +135,6 @@ def _machine_identity(machine) -> tuple | None:
     return (kind, type(machine).__qualname__, *parts)
 
 
-def _freeze_state(x):
-    """A value tree for a deeply immutable cell value
-    (:func:`repro.compiler.lift.immutable_value`) whose ``repr`` keeps
-    apart values that print alike."""
-    if isinstance(x, enum.Enum):
-        return ("enum", type(x).__qualname__, x.name)
-    if isinstance(x, np.dtype):
-        return ("dtype", x.str)
-    if isinstance(x, (np.integer, np.floating, np.bool_)):
-        return ("np", x.dtype.str, x.item())
-    if isinstance(x, tuple):
-        return ("seq", tuple(_freeze_state(v) for v in x))
-    if isinstance(x, frozenset):
-        return ("set", tuple(sorted(map(_freeze_state, x), key=repr)))
-    return x
-
-
 _code_digests: dict = {}
 
 
@@ -157,34 +150,89 @@ class _Unsignable(Exception):
     pass
 
 
-def _freeze_cell(v, permissive: bool, depth: int = 0, seen=None):
-    if depth > 6:
-        raise _Unsignable("cell nesting too deep")
-    if lift.immutable_value(v):
-        return _freeze_state(v)
-    if not permissive:
-        raise _Unsignable(f"mutable value {type(v).__name__}")
-    if isinstance(v, (list, tuple)):
-        return ("seq", tuple(_freeze_cell(x, True, depth + 1, seen)
-                             for x in v))
-    if isinstance(v, dict):
-        return ("map", tuple(sorted(
-            ((k, _freeze_cell(x, True, depth + 1, seen))
-             for k, x in v.items()), key=repr)))
-    if isinstance(v, (set, frozenset)):
-        return ("set", tuple(sorted(
-            (_freeze_cell(x, True, depth + 1, seen) for x in v),
-            key=repr)))
-    if isinstance(v, np.ndarray):
-        return ("nd", v.dtype.str, v.shape,
-                hashlib.blake2b(v.tobytes(), digest_size=16).digest())
-    if isinstance(v, types.FunctionType):
-        return ("fn", function_signature(v, True, depth + 1, seen))
-    raise _Unsignable(f"unsignable value {type(v).__name__}")
+class _Signer:
+    """One signing pass over a kernel and the functions it reaches.
+
+    ``permissive`` freezes mutable cells by value (``dispatch_forced``);
+    ``seen`` holds the functions on the current path, so a revisit is a
+    cycle; ``nbytes`` sums the array bytes digested so far, which may
+    not pass ``cap``.
+    """
+
+    __slots__ = ("permissive", "cap", "seen", "nbytes")
+
+    def __init__(self, permissive: bool, cap: float) -> None:
+        self.permissive = permissive
+        self.cap = cap
+        self.seen: set[int] = set()
+        self.nbytes = 0
+
+    def state(self, x):
+        """A value tree for a deeply immutable value
+        (:func:`repro.compiler.lift.immutable_value`) whose ``repr``
+        keeps apart values that print alike.  An array is frozen by a
+        digest of its bytes as they are now."""
+        if isinstance(x, enum.Enum):
+            return ("enum", type(x).__qualname__, x.name)
+        if isinstance(x, np.dtype):
+            return ("dtype", x.str)
+        if isinstance(x, (np.integer, np.floating, np.bool_)):
+            return ("np", x.dtype.str, x.item())
+        if isinstance(x, np.ndarray):
+            self.nbytes += x.nbytes
+            if self.nbytes > self.cap:
+                raise _Unsignable("arrays over the memory cap")
+            return ("nd", x.dtype.str, x.shape,
+                    hashlib.blake2b(x.tobytes(), digest_size=16).digest())
+        if isinstance(x, tuple):
+            return ("seq", tuple(self.state(v) for v in x))
+        if isinstance(x, frozenset):
+            return ("set", tuple(sorted(map(self.state, x), key=repr)))
+        return x
+
+    def cell(self, v, depth: int = 0):
+        if depth > 6:
+            raise _Unsignable("cell nesting too deep")
+        if lift.immutable_value(v):
+            return self.state(v)
+        if not self.permissive:
+            raise _Unsignable(f"mutable value {type(v).__name__}")
+        if isinstance(v, (list, tuple)):
+            return ("seq", tuple(self.cell(x, depth + 1) for x in v))
+        if isinstance(v, dict):
+            return ("map", tuple(sorted(
+                ((k, self.cell(x, depth + 1)) for k, x in v.items()),
+                key=repr)))
+        if isinstance(v, (set, frozenset)):
+            return ("set", tuple(sorted(
+                (self.cell(x, depth + 1) for x in v), key=repr)))
+        if isinstance(v, np.ndarray):
+            return self.state(v)
+        if isinstance(v, types.FunctionType):
+            return ("fn", self.function(v, depth + 1))
+        raise _Unsignable(f"unsignable value {type(v).__name__}")
+
+    def function(self, fn, depth: int = 0) -> tuple:
+        """See :func:`function_signature`."""
+        if id(fn) in self.seen:
+            return ("fn-cycle", _code_digest(fn.__code__))
+        self.seen.add(id(fn))
+        try:
+            cells = tuple(self.cell(cell.cell_contents, depth)
+                          for cell in (fn.__closure__ or ()))
+            defaults = tuple(self.cell(v, depth)
+                             for v in (fn.__defaults__ or ()))
+            module = fn.__globals__
+            globals_ = tuple(
+                (name, self.cell(module[name], depth))
+                for name in lift._global_load_names(fn.__code__)
+                if name in module)
+        finally:
+            self.seen.discard(id(fn))
+        return (_code_digest(fn.__code__), cells, defaults, globals_)
 
 
-def function_signature(fn, permissive: bool, depth: int = 0,
-                       seen=None) -> tuple:
+def function_signature(fn, permissive: bool) -> tuple:
     """Identity of a kernel/body: code digest plus the current values
     of its closure cells, defaults, and every module global its code
     loads (:func:`repro.compiler.lift._global_load_names`; names that
@@ -193,7 +241,9 @@ def function_signature(fn, permissive: bool, depth: int = 0,
     Because the values enter the signature, and the signature enters
     the shape digest of the replay key, rebinding a global or a cell
     simply keys a different entry: nothing cached under the old values
-    can be served.
+    can be served.  A read-only array enters by a digest of its bytes,
+    taken at every launch, so re-enabling writes and changing it keys a
+    different entry too.
 
     Recursive closures (a function whose cell holds itself, directly or
     through another function) are frozen as a cycle marker carrying the
@@ -204,25 +254,7 @@ def function_signature(fn, permissive: bool, depth: int = 0,
         _Unsignable: when a cell, default, or global cannot be frozen
             (mutable in strict mode, or an exotic type).
     """
-    if seen is None:
-        seen = set()
-    if id(fn) in seen:
-        return ("fn-cycle", _code_digest(fn.__code__))
-    seen.add(id(fn))
-    try:
-        cells = tuple(_freeze_cell(cell.cell_contents, permissive,
-                                   depth, seen)
-                      for cell in (fn.__closure__ or ()))
-        defaults = tuple(_freeze_cell(v, permissive, depth, seen)
-                         for v in (fn.__defaults__ or ()))
-        module = fn.__globals__
-        globals_ = tuple(
-            (name, _freeze_cell(module[name], permissive, depth, seen))
-            for name in lift._global_load_names(fn.__code__)
-            if name in module)
-    finally:
-        seen.discard(id(fn))
-    return (_code_digest(fn.__code__), cells, defaults, globals_)
+    return _Signer(permissive, float("inf")).function(fn)
 
 
 def _shape_digest(sig: tuple) -> bytes:
@@ -241,18 +273,25 @@ def _shape_digest(sig: tuple) -> bytes:
 # Cache entries
 # --------------------------------------------------------------------- #
 
+#: Bytes one recorded trace event holds (a frozen dataclass, its
+#: ``__dict__`` and two floats), as ``tracemalloc`` measures it.
+_EVENT_BYTES = 168
+
+
 class _Entry:
     """One recorded launch: the changed memory bytes, the interpreter's
-    result fields, and the step count a replay must still have room
-    for."""
+    result fields, the step count a replay must still have room for,
+    and the timeline's events when the launch was traced."""
 
-    __slots__ = ("writes", "result", "steps", "nbytes")
+    __slots__ = ("writes", "result", "steps", "events", "nbytes")
 
-    def __init__(self, writes, result, steps):
+    def __init__(self, writes, result, steps, events):
         self.writes = writes
         self.result = result
         self.steps = steps
-        self.nbytes = sum(len(b) for b in writes.values()) + 256
+        self.events = events
+        self.nbytes = (sum(len(b) for b in writes.values())
+                       + _EVENT_BYTES * len(events) + 256)
 
 
 def _apply_writes(writes: dict[str, bytes],
@@ -271,9 +310,11 @@ class Dispatcher:
 
     Args:
         max_entries: Replay-entry count ceiling.
-        max_bytes: Total recorded-write bytes ceiling.
-        memory_cap: Per-launch total memory bytes above which replay
-            is not attempted (hashing would eat the win).
+        max_bytes: Ceiling on the bytes of every entry's recorded
+            writes and timeline events together.
+        memory_cap: Per-launch ceiling on the memory bytes plus the
+            read-only array bytes in the kernel's signature, above
+            which replay is not attempted (hashing would eat the win).
     """
 
     def __init__(self, max_entries: int = 1024,
@@ -323,12 +364,12 @@ class Dispatcher:
                 self._bytes -= evicted.nbytes
                 _C_EVICT.add(1)
 
-    def _digest_memory(self, memory) -> tuple | None:
+    def _digest_memory(self, memory, total: int) -> tuple | None:
         """(static signature, content digest, pre-bytes snapshot), or
-        None when memory is ineligible (non-arrays, too large)."""
+        None when memory is ineligible (non-arrays, or more than
+        ``memory_cap`` bytes on top of the ``total`` already signed)."""
         static = []
         pre = {}
-        total = 0
         h = hashlib.blake2b(digest_size=16)
         for name in sorted(memory):
             arr = memory[name]
@@ -352,7 +393,8 @@ class Dispatcher:
 
         The one eligibility chain of the module docstring: mode,
         machine identity, purity (skipped under ``force``), signature,
-        memory.  ``extra`` is the launch configuration.
+        memory.  ``extra`` is the launch configuration, trace request
+        included.
         """
         mode = dispatch_mode()
         if mode == "off":
@@ -363,12 +405,13 @@ class Dispatcher:
                 (not forced and not lift.kernel_purity(fn)[0]):
             _C_FALLBACK.add(1)
             return None
+        signer = _Signer(forced, self.memory_cap)
         try:
-            sig = function_signature(fn, forced)
+            sig = signer.function(fn)
         except _Unsignable:
             _C_FALLBACK.add(1)
             return None
-        digested = self._digest_memory(memory)
+        digested = self._digest_memory(memory, signer.nbytes)
         if digested is None:
             _C_FALLBACK.add(1)
             return None
@@ -376,33 +419,39 @@ class Dispatcher:
         shape = _shape_digest((extra, sig, identity, static))
         return (shape, content), pre
 
-    def begin_cuda(self, cuda, kernel, launch, memory, shared_decls):
-        """Key one CUDA launch; returns a ticket or None (not keyed)."""
+    def begin_cuda(self, cuda, kernel, launch, memory, shared_decls,
+                   trace=None):
+        """Key one CUDA launch; returns a ticket or None (not keyed).
+
+        ``trace`` is the launch's fresh :class:`repro.cuda.trace.Trace`,
+        or None; a replay fills it with the recorded events.
+        """
         shared_sig = tuple(sorted(
             (name, size, np.dtype(dt).str)
             for name, (size, dt) in shared_decls.items()))
         keyed = self._key(cuda.device, kernel, memory,
-                          ("cuda", launch, shared_sig))
+                          ("cuda", launch, shared_sig, trace is not None))
         if keyed is None:
             return None
-        return _CudaTicket(self, *keyed, memory, launch)
+        return _CudaTicket(self, *keyed, memory, launch, trace)
 
-    def begin_omp(self, omp, body, shared):
+    def begin_omp(self, omp, body, shared, trace: bool = False):
         """Key one OpenMP parallel region; returns a ticket or None.
 
-        The configuration covers team size, affinity, consistency model
-        and ``detect_races``: an entry recorded without the detector
-        may hide a race, so it must never serve a detecting region.  A
-        detecting entry is always race-free: ``record`` refuses races,
-        and a raising run never records.
+        The configuration covers team size, affinity, consistency model,
+        ``detect_races`` and ``trace``: an entry recorded without the
+        detector may hide a race, so it must never serve a detecting
+        region.  A detecting entry is always race-free: ``record``
+        refuses races, and a raising run never records.
         """
         shared_map = dict(shared or {})
         keyed = self._key(omp.machine, body, shared_map,
                           ("omp", omp.n_threads, omp.affinity,
-                           omp.relaxed_consistency, omp.detect_races))
+                           omp.relaxed_consistency, omp.detect_races,
+                           trace))
         if keyed is None:
             return None
-        return _OmpTicket(self, *keyed, shared_map, omp)
+        return _OmpTicket(self, *keyed, shared_map, omp, trace)
 
 
 def _run_lifted(self, *args) -> None:
@@ -439,13 +488,13 @@ class _Ticket:
         _C_HIT.add(1)
         return entry
 
-    def _store(self, result: tuple, steps: int) -> None:
+    def _store(self, result: tuple, steps: int, events: tuple) -> None:
         writes = {}
         for var, before in self.pre.items():
             after = self.memory[var].tobytes()
             if after != before:
                 writes[var] = after
-        entry = _Entry(writes, result, steps)
+        entry = _Entry(writes, result, steps, events)
         if entry.nbytes <= self.disp.memory_cap:
             self.disp._put_entry(self.key, entry)
 
@@ -453,11 +502,12 @@ class _Ticket:
 class _CudaTicket(_Ticket):
     """One keyed CUDA launch."""
 
-    __slots__ = ("launch",)
+    __slots__ = ("launch", "trace")
 
-    def __init__(self, disp, key, pre, memory, launch):
+    def __init__(self, disp, key, pre, memory, launch, trace):
         super().__init__(disp, key, pre, memory)
         self.launch = launch
+        self.trace = trace
 
     def replay(self, stats, budget) -> list[float] | None:
         """Apply a recorded launch, or None on miss."""
@@ -471,6 +521,8 @@ class _CudaTicket(_Ticket):
             for name, delta in stat_deltas:
                 setattr(stats, name, getattr(stats, name) + delta)
             budget.charge(entry.steps)
+            if self.trace is not None:
+                self.trace.events.extend(entry.events)
         return list(block_cycles)
 
     run_lifted = _run_lifted
@@ -482,17 +534,20 @@ class _CudaTicket(_Ticket):
         stat_deltas = tuple((f.name, getattr(stats, f.name))
                             for f in _dc_fields(stats)
                             if getattr(stats, f.name))
-        self._store((tuple(block_cycles), stat_deltas), budget.used)
+        events = () if self.trace is None else tuple(self.trace.events)
+        self._store((tuple(block_cycles), stat_deltas), budget.used,
+                    events)
 
 
 class _OmpTicket(_Ticket):
     """One keyed OpenMP region."""
 
-    __slots__ = ("omp",)
+    __slots__ = ("omp", "traced")
 
-    def __init__(self, disp, key, pre, memory, omp):
+    def __init__(self, disp, key, pre, memory, omp, traced):
         super().__init__(disp, key, pre, memory)
         self.omp = omp
+        self.traced = traced
 
     def replay(self):
         """Apply a recorded region; returns a ParallelResult or None."""
@@ -500,6 +555,7 @@ class _OmpTicket(_Ticket):
         if entry is None:
             return None
         from repro.openmp.interpreter import ParallelResult
+        from repro.openmp.trace import CpuTrace
         times, elapsed, barriers, requests = entry.result
         with obs_span("dispatch.replay", kind="omp"):
             memory = dict(self.memory)
@@ -511,18 +567,19 @@ class _OmpTicket(_Ticket):
             races=[],
             barriers=barriers,
             requests=requests,
-            trace=None,
+            trace=CpuTrace(list(entry.events)) if self.traced else None,
         )
 
     run_lifted = _run_lifted
 
     def record(self, result) -> None:
         """Store the completed region for future replay (miss only)."""
-        if self.hit or result.trace is not None or result.races:
+        if self.hit or result.races:
             return
+        events = () if result.trace is None else tuple(result.trace.events)
         self._store((tuple(result.thread_times_ns), result.elapsed_ns,
                      result.barriers, result.requests),
-                    self.omp.max_steps)
+                    self.omp.max_steps, events)
 
 
 #: The process-wide dispatcher every interpreter shares.

@@ -12,7 +12,8 @@ proves it statically:
   because the dispatcher freezes their current values into every key;
   annotations are ignored.
 * :func:`immutable_value`: which cell/global values strict mode may
-  freeze by value (deeply immutable ones only).
+  freeze by value (deeply immutable ones, and read-only arrays, which
+  the dispatcher digests at every launch).
 """
 
 from __future__ import annotations
@@ -162,7 +163,15 @@ _IMMUTABLE_SCALARS = (bool, int, float, complex, str, bytes, type(None))
 def immutable_value(v, depth: int = 0) -> bool:
     """True when ``v`` is deeply immutable (safe as a closure cell or
     module global of a memoized kernel: the kernel cannot mutate it
-    between launches)."""
+    between launches).
+
+    A read-only plain ndarray of a non-object dtype counts: a kernel's
+    write into it raises, so a launch that writes never records, and
+    the dispatcher digests its bytes at every launch, so re-enabling
+    writes and changing it between launches keys a different entry.  A
+    subclass is refused, because the byte digest would not see its
+    extra state (a masked array's mask).
+    """
     if depth > 4:
         return False
     if isinstance(v, _IMMUTABLE_SCALARS) or isinstance(v, enum.Enum):
@@ -170,6 +179,8 @@ def immutable_value(v, depth: int = 0) -> bool:
     if isinstance(v, (np.integer, np.floating, np.bool_)) \
             or isinstance(v, np.dtype):
         return True
+    if type(v) is np.ndarray:
+        return not v.flags.writeable and not v.dtype.hasobject
     if isinstance(v, (tuple, frozenset)):
         return all(immutable_value(x, depth + 1) for x in v)
     return False

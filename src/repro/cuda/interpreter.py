@@ -412,14 +412,14 @@ class Cuda:
             block_cycles: list[float] | None = None
             ticket = None
             # The dispatcher memoizes whole launches per (kernel,
-            # machine, config, memory-contents) signature; it only
-            # engages on the fast tier (byte-identical by contract) and
-            # never when a trace or race detector needs to observe every
-            # access.
-            if self.fast and detector is None and trace_obj is None:
+            # machine, config, trace request, memory-contents)
+            # signature, timeline included; it only engages on the fast
+            # tier (byte-identical by contract) and never when a race
+            # detector needs to observe every access.
+            if self.fast and detector is None:
                 from repro.compiler.dispatcher import DISPATCHER
                 ticket = DISPATCHER.begin_cuda(self, kernel, launch,
-                                               memory, shared)
+                                               memory, shared, trace_obj)
             if ticket is not None:
                 block_cycles = ticket.replay(stats, budget)
             if block_cycles is None:

@@ -272,14 +272,14 @@ class OpenMP:
         with obs_span("omp.parallel", n_threads=self.n_threads,
                       path="fast" if self.fast else "reference"):
             # The dispatcher memoizes whole regions per (body, machine,
-            # config, memory-contents) signature; replay hits skip the
-            # region loop entirely.  Identical replay requires identical
-            # inputs, so a trace request opts out (the timeline object
-            # cannot be replayed).
+            # config, trace request, memory-contents) signature,
+            # timeline included; replay hits skip the region loop
+            # entirely.  ``detect_races`` is part of the configuration,
+            # and a region that reports races is never recorded.
             ticket = None
-            if self.fast and not trace:
+            if self.fast:
                 from repro.compiler.dispatcher import DISPATCHER
-                ticket = DISPATCHER.begin_omp(self, body, shared)
+                ticket = DISPATCHER.begin_omp(self, body, shared, trace)
             result = ticket.replay() if ticket is not None else None
             if result is None:
                 result = self._run_region(body, shared, trace)

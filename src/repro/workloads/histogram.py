@@ -73,19 +73,22 @@ def cpu_histogram(machine: CpuMachine, data: np.ndarray, n_bins: int,
         row = max(n_bins, _LINE_INTS)
         shared["private"] = np.zeros(n_threads * row, np.int64)
 
+    # Per-thread slices of a read-only copy: the bodies close over
+    # nothing mutable, so a repeat run on identical data is a replay.
     per_thread = -(-data.size // n_threads)
-
-    def chunk(tid: int) -> np.ndarray:
-        return data[tid * per_thread:(tid + 1) * per_thread]
+    frozen = data.copy()
+    frozen.flags.writeable = False
+    chunks = tuple(frozen[tid * per_thread:(tid + 1) * per_thread]
+                   for tid in range(n_threads))
 
     def atomic_body(tc):
-        for value in chunk(tc.tid):
+        for value in chunks[tc.tid]:
             yield tc.atomic_update("bins", int(value), lambda v: v + 1)
 
     def privatized_body(tc):
         row = max(n_bins, _LINE_INTS)
         base = tc.tid * row
-        for value in chunk(tc.tid):
+        for value in chunks[tc.tid]:
             idx = base + int(value)
             count = yield tc.read("private", idx)
             yield tc.write("private", idx, count + 1)

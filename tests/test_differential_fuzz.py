@@ -196,19 +196,31 @@ def test_cuda_dispatcher_forced_matches_reference(mini_gpu, seed):
     """The JIT dispatch tiers (keyed in ``force`` mode, so even these
     closure-heavy generated kernels are eligible) must stay
     byte-identical to the reference — both on the cold launch that
-    records/compiles and on the warm launch that replays."""
+    records/compiles and on the warm launch that replays.  A traced
+    pair follows the untraced one: the untraced entry must not serve
+    the traced relaunch, which records the full timeline its own warm
+    relaunch replays."""
     rng = random.Random(1000 + seed)
     program = _gen_cuda_ops(rng)
     grid = rng.choice((1, 2))
     block = rng.choice((32, 64))
-    ref = _run_cuda(mini_gpu, program, grid, block, fast=False)
+    ref = _run_cuda(mini_gpu, program, grid, block, fast=False,
+                    trace=True)
+    results = {}
+    DISPATCHER.clear()  # another seed may generate the same program
     with dispatch_forced():
-        cold = _run_cuda(mini_gpu, program, grid, block, fast=True)
-        hits = counter_value("dispatch.hit")
-        warm = _run_cuda(mini_gpu, program, grid, block, fast=True)
-    assert counter_value("dispatch.hit") > hits, \
-        f"seed {seed}: identical relaunch did not replay"
-    for label, result in (("cold", cold), ("warm", warm)):
+        for label, trace in (("cold", False), ("warm", False),
+                             ("traced cold", True), ("traced warm", True)):
+            hits = counter_value("dispatch.hit")
+            results[label] = _run_cuda(mini_gpu, program, grid, block,
+                                       fast=True, trace=trace)
+            replayed = counter_value("dispatch.hit") > hits
+            assert replayed == label.endswith("warm"), \
+                f"seed {seed} ({label}): replayed={replayed}"
+    for label, result in results.items():
+        if result.trace is not None:
+            assert result.trace.events == ref.trace.events, \
+                f"seed {seed} ({label})"
         assert result.elapsed_cycles == ref.elapsed_cycles, \
             f"seed {seed} ({label})"
         assert result.block_cycles == ref.block_cycles, \
@@ -457,7 +469,8 @@ def _run_omp(machine, program, n_threads, fast, trace=False):
 def test_openmp_fast_path_matches_reference(quiet_cpu, seed):
     """Traced, so the cost and label each uniform-round handler charges
     per request are compared event by event against the per-request
-    oracle (a traced region skips content replay)."""
+    oracle (these closure-heavy bodies are unsignable outside
+    ``dispatch_forced``, so the fast region runs the interpreter)."""
     rng = random.Random(2000 + seed)
     program = _gen_omp_ops(rng)
     n_threads = rng.choice((2, 4))
@@ -477,18 +490,28 @@ def test_openmp_fast_path_matches_reference(quiet_cpu, seed):
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
 def test_openmp_dispatcher_forced_matches_reference(quiet_cpu, seed):
     """Region replay (forced keying) must be byte-identical to the
-    reference scheduler, cold and warm."""
+    reference scheduler, cold and warm, untraced and then traced: the
+    untraced entry must not serve the traced rerun, which records the
+    full timeline its own warm rerun replays."""
     rng = random.Random(2000 + seed)
     program = _gen_omp_ops(rng)
     n_threads = rng.choice((2, 4))
-    ref = _run_omp(quiet_cpu, program, n_threads, fast=False)
+    ref = _run_omp(quiet_cpu, program, n_threads, fast=False, trace=True)
+    results = {}
+    DISPATCHER.clear()  # another seed may generate the same program
     with dispatch_forced():
-        cold = _run_omp(quiet_cpu, program, n_threads, fast=True)
-        hits = counter_value("dispatch.hit")
-        warm = _run_omp(quiet_cpu, program, n_threads, fast=True)
-    assert counter_value("dispatch.hit") > hits, \
-        f"seed {seed}: identical region rerun did not replay"
-    for label, result in (("cold", cold), ("warm", warm)):
+        for label, trace in (("cold", False), ("warm", False),
+                             ("traced cold", True), ("traced warm", True)):
+            hits = counter_value("dispatch.hit")
+            results[label] = _run_omp(quiet_cpu, program, n_threads,
+                                      fast=True, trace=trace)
+            replayed = counter_value("dispatch.hit") > hits
+            assert replayed == label.endswith("warm"), \
+                f"seed {seed} ({label}): replayed={replayed}"
+    for label, result in results.items():
+        if result.trace is not None:
+            assert result.trace.events == ref.trace.events, \
+                f"seed {seed} ({label})"
         assert result.elapsed_ns == ref.elapsed_ns, \
             f"seed {seed} ({label})"
         assert result.thread_times_ns == ref.thread_times_ns, \

@@ -696,3 +696,224 @@ class TestShapeKeys:
                 before = _counters("dispatch.hit")
                 cuda.launch(scaled_kernel, LC, _memory(1))
                 assert _deltas(before)["dispatch.hit"] == 1
+
+
+# --------------------------------------------------------------------- #
+# Read-only array cells are signed by their bytes
+# --------------------------------------------------------------------- #
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+def _table_kernel(table):
+    def kernel(t):
+        value = yield t.global_read("a", t.global_id)
+        yield t.global_write("b", t.global_id,
+                             value + int(table[t.global_id % 4]))
+    return kernel
+
+
+def _writing_kernel(table):
+    def kernel(t):
+        table[0] = t.global_id
+        yield t.global_write("b", t.global_id, 1)
+    return kernel
+
+
+def _reference_launch(device, kernel):
+    memory = _memory()
+    result = Cuda(device, fast=False).launch(kernel, LC, memory)
+    return result.elapsed_cycles, result.stats, _snapshot(memory)
+
+
+class TestReadOnlyCells:
+    def test_writeable_or_subclassed_cell_falls_back(self, mini_gpu):
+        masked = np.ma.masked_array([1, 2, 3, 4], mask=[0, 0, 0, 0])
+        masked.flags.writeable = False
+        for table in (np.array([1, 2, 3, 4], dtype=np.int64), masked):
+            DISPATCHER.clear()
+            kernel = _table_kernel(table)
+            before = _counters(*DISPATCH)
+            Cuda(mini_gpu).launch(kernel, LC, _memory())
+            assert _deltas(before) == {"dispatch.hit": 0,
+                                       "dispatch.miss": 0,
+                                       "dispatch.fallback": 1}
+
+    def test_read_only_cell_is_keyed(self, mini_gpu):
+        DISPATCHER.clear()
+        kernel = _table_kernel(_read_only([1, 2, 3, 4]))
+        assert kernel_purity(kernel)[0]
+        cuda = Cuda(mini_gpu)
+        before = _counters(*DISPATCH)
+        cuda.launch(kernel, LC, _memory())
+        warm_mem = _memory()
+        warm = cuda.launch(kernel, LC, warm_mem)
+        assert _deltas(before) == {"dispatch.hit": 1, "dispatch.miss": 1,
+                                   "dispatch.fallback": 0}
+        assert (warm.elapsed_cycles, warm.stats, _snapshot(warm_mem)) == \
+            _reference_launch(mini_gpu, kernel)
+
+    @pytest.mark.parametrize("through", ["flag", "base"])
+    def test_changed_cell_misses(self, mini_gpu, through):
+        """Re-enabling writes (or writing through a writeable base) and
+        changing the array keys a different entry: its bytes are
+        digested at every launch."""
+        DISPATCHER.clear()
+        base = np.array([1, 2, 3, 4], dtype=np.int64)
+        table = base.view()
+        table.flags.writeable = False
+        kernel = _table_kernel(table)
+        cuda = Cuda(mini_gpu)
+        cuda.launch(kernel, LC, _memory())  # record
+        if through == "flag":
+            base = table
+            base.flags.writeable = True
+        base[2] = 40
+        table.flags.writeable = False
+        before = _counters(*DISPATCH)
+        memory = _memory()
+        result = cuda.launch(kernel, LC, memory)
+        assert _deltas(before) == {"dispatch.hit": 0, "dispatch.miss": 1,
+                                   "dispatch.fallback": 0}
+        assert (result.elapsed_cycles, result.stats, _snapshot(memory)) \
+            == _reference_launch(mini_gpu, kernel)
+        assert memory["b"][2] == memory["a"][2] + 40
+
+    def test_write_into_read_only_cell_records_nothing(self, mini_gpu):
+        DISPATCHER.clear()
+        table = _read_only([1, 2, 3, 4])
+        kernel = _writing_kernel(table)
+        for _ in range(2):
+            before = _counters(*DISPATCH)
+            with pytest.raises(ValueError, match="read-only"):
+                Cuda(mini_gpu).launch(kernel, LC, _memory())
+            assert _deltas(before) == {"dispatch.hit": 0,
+                                       "dispatch.miss": 1,
+                                       "dispatch.fallback": 0}
+        assert DISPATCHER.stats()["entries"] == 0
+        assert list(table) == [1, 2, 3, 4]
+
+    def test_cell_bytes_count_toward_memory_cap(self, mini_gpu,
+                                                monkeypatch):
+        """The memory alone (2056 B) fits a 4096 B cap, and so does the
+        4096 B table alone, but not both together."""
+        small = Dispatcher(memory_cap=4096)
+        monkeypatch.setattr(dmod, "DISPATCHER", small)
+        cuda = Cuda(mini_gpu)
+        for kernel, keyed in ((steady_kernel, True),
+                              (_table_kernel(_read_only(range(512))),
+                               False),
+                              (_table_kernel(_read_only(range(513))),
+                               False)):
+            before = _counters(*DISPATCH)
+            cuda.launch(kernel, LC, _memory())
+            assert _deltas(before) == {"dispatch.hit": 0,
+                                       "dispatch.miss": int(keyed),
+                                       "dispatch.fallback": int(not keyed)}
+
+
+# --------------------------------------------------------------------- #
+# Traced launches record and replay their timeline
+# --------------------------------------------------------------------- #
+
+
+def _traced_launch(device, fast=True, trace=True):
+    memory = _memory()
+    result = Cuda(device, fast=fast).launch(steady_kernel, LC, memory,
+                                            trace=trace)
+    return result, _snapshot(memory)
+
+
+def _traced_region(machine, fast=True, trace=True):
+    shared = _omp_shared()
+    result = OpenMP(machine, n_threads=4, detect_races=False,
+                    fast=fast).parallel(omp_body, shared, trace=trace)
+    return result, _snapshot(shared)
+
+
+class TestTracedReplay:
+    def test_cuda_relaunch_replays_the_timeline(self, mini_gpu):
+        DISPATCHER.clear()
+        cold, _ = _traced_launch(mini_gpu)
+        before = _counters(*DISPATCH, "interp.cuda.passes")
+        warm, warm_mem = _traced_launch(mini_gpu)
+        assert _deltas(before) == {"dispatch.hit": 1, "dispatch.miss": 0,
+                                   "dispatch.fallback": 0,
+                                   "interp.cuda.passes": 0}
+        ref, ref_mem = _traced_launch(mini_gpu, fast=False)
+        assert warm.trace.events == cold.trace.events == ref.trace.events
+        assert warm.trace.events is not cold.trace.events
+        assert warm.block_cycles == ref.block_cycles
+        assert warm.stats == ref.stats
+        assert warm_mem == ref_mem
+
+    def test_omp_rerun_replays_the_timeline(self, quiet_cpu):
+        DISPATCHER.clear()
+        cold, _ = _traced_region(quiet_cpu)
+        before = _counters(*DISPATCH, "interp.omp.rounds")
+        warm, warm_mem = _traced_region(quiet_cpu)
+        assert _deltas(before) == {"dispatch.hit": 1, "dispatch.miss": 0,
+                                   "dispatch.fallback": 0,
+                                   "interp.omp.rounds": 0}
+        ref, ref_mem = _traced_region(quiet_cpu, fast=False)
+        assert warm.trace.events == cold.trace.events == ref.trace.events
+        assert warm.trace.events is not cold.trace.events
+        assert warm.thread_times_ns == ref.thread_times_ns
+        assert warm.elapsed_ns == ref.elapsed_ns
+        assert warm_mem == ref_mem
+
+    @pytest.mark.parametrize("first", [False, True],
+                             ids=["untraced-first", "traced-first"])
+    def test_trace_request_keys_apart(self, mini_gpu, quiet_cpu, first):
+        """A traced entry never serves an untraced launch, nor the
+        reverse: each misses and returns what the reference returns."""
+        for run, machine in ((_traced_launch, mini_gpu),
+                             (_traced_region, quiet_cpu)):
+            DISPATCHER.clear()
+            run(machine, trace=first)  # record
+            before = _counters(*DISPATCH)
+            result, _ = run(machine, trace=not first)
+            assert _deltas(before) == {"dispatch.hit": 0,
+                                       "dispatch.miss": 1,
+                                       "dispatch.fallback": 0}
+            if first:
+                assert result.trace is None
+            else:
+                ref, _ = run(machine, fast=False)
+                assert result.trace.events == ref.trace.events
+
+    def test_replay_attaches_its_timeline(self, mini_gpu, quiet_cpu):
+        from repro.obs import Recorder, recording
+        DISPATCHER.clear()
+        rec = Recorder()
+        with recording(rec):
+            for _ in range(2):
+                _traced_launch(mini_gpu)
+                _traced_region(quiet_cpu)
+        replays = [s["attrs"]["kind"] for s in rec.spans()
+                   if s["name"] == "dispatch.replay"]
+        assert replays == ["cuda", "omp"]
+        assert [source for source, _, _ in rec.timelines] == \
+            ["cuda", "openmp", "cuda", "openmp"]
+        assert rec.timelines[0][1] == rec.timelines[2][1]
+        assert rec.timelines[1][1] == rec.timelines[3][1]
+
+    def test_timeline_bytes_bound_the_cache(self, mini_gpu, monkeypatch):
+        """Recorded events count toward ``max_bytes``: a bound that
+        holds one traced entry's events, but not two, evicts."""
+        events = len(_traced_launch(mini_gpu, fast=False)[0].trace.events)
+        one = dmod._EVENT_BYTES * events + 1032 + 256  # writes: b and c
+        small = Dispatcher(max_bytes=one + one // 2)
+        monkeypatch.setattr(dmod, "DISPATCHER", small)
+        cuda = Cuda(mini_gpu)
+        before = _counters("dispatch.evictions")
+        for seed in range(3):
+            cuda.launch(steady_kernel, LC, _memory(seed), trace=True)
+            stats = small.stats()
+            assert stats["entries"] == 1
+            assert stats["bytes"] <= small.max_bytes
+        assert _deltas(before)["dispatch.evictions"] == 2

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, DataRaceError
+from repro.obs.metrics import counter_value
 from repro.workloads.bfs import gpu_bfs, random_graph
+from repro.workloads.custom_barrier import compare_barriers
 from repro.workloads.histogram import cpu_histogram, gpu_histogram
 from repro.workloads.pipeline import cpu_pipeline
 from repro.workloads.prefix_sum import cpu_prefix_sum, \
     gpu_block_prefix_sum
+from repro.workloads.sort import gpu_bitonic_sort
 from repro.workloads.stencil import cpu_jacobi
 
 
@@ -151,3 +154,66 @@ class TestBfs:
         with pytest.raises(ConfigurationError):
             gpu_bfs(mini_gpu, np.array([0, 5], np.int64),
                     np.array([0], np.int64))
+
+
+_ENGAGEMENT = ("dispatch.hit", "dispatch.miss", "dispatch.fallback",
+               "interp.cuda.passes", "interp.omp.rounds")
+
+
+def _repeat(run):
+    """Run ``run`` twice; returns both outcomes and the counter deltas
+    of the second run."""
+    first = run()
+    before = {name: counter_value(name) for name in _ENGAGEMENT}
+    second = run()
+    return first, second, {name: counter_value(name) - value
+                           for name, value in before.items()}
+
+
+class TestRepeatReplays:
+    """An identical repeat of a gallery workload is served from the
+    dispatcher's content replay: no interpreter pass or round runs, and
+    the outcome, timeline-derived fields included, is unchanged."""
+
+    def test_traced_bitonic_sort_replays(self, mini_gpu):
+        data = np.random.default_rng(11).integers(-500, 500, 256)
+        first, second, d = _repeat(
+            lambda: gpu_bitonic_sort(mini_gpu, data.copy(), trace=True))
+        assert d["dispatch.hit"] == 1 and d["dispatch.miss"] == 0
+        assert d["interp.cuda.passes"] == 0
+        assert second.barrier_share is not None
+        assert second.barrier_share == first.barrier_share
+        assert second.elapsed == first.elapsed
+        assert (second.values == first.values).all() and second.correct
+
+    @pytest.mark.parametrize("strategy", ["atomic", "privatized"])
+    def test_cpu_histogram_replays(self, system3_cpu, strategy):
+        data = np.random.default_rng(12).integers(0, 8, size=512)
+        first, second, d = _repeat(lambda: cpu_histogram(
+            system3_cpu, data.copy(), 8, strategy=strategy))
+        assert d["dispatch.hit"] == 1 and d["dispatch.miss"] == 0
+        assert d["dispatch.fallback"] == 0
+        assert d["interp.omp.rounds"] == 0
+        assert second.elapsed == first.elapsed
+        assert (second.bins == first.bins).all() and second.correct
+
+    @pytest.mark.parametrize("strategy,elapsed",
+                             [("atomic", 39226.0), ("privatized", 4348.0)])
+    def test_cpu_histogram_elapsed_pinned(self, system3_cpu, strategy,
+                                          elapsed):
+        """The per-thread slices are the same request stream as before
+        they became read-only closure cells."""
+        data = np.random.default_rng(5).integers(0, 8, size=2048)
+        outcome = cpu_histogram(system3_cpu, data, 8, strategy=strategy)
+        assert outcome.elapsed == elapsed
+        assert outcome.correct
+
+    def test_custom_barrier_body_falls_back(self, system3_cpu):
+        """The custom body appends to a Python list, a real side effect
+        replay would skip; only the native body is keyed."""
+        first, second, d = _repeat(
+            lambda: compare_barriers(system3_cpu, n_threads=4, rounds=2))
+        assert d["dispatch.fallback"] == 1
+        assert d["dispatch.hit"] == 1
+        assert d["interp.omp.rounds"] > 0
+        assert second == first and second.correct
