@@ -16,10 +16,10 @@ Every key is a value.  :meth:`Dispatcher._key` is the one keying path
 and holds the whole eligibility chain:
 
 1. the mode (:func:`dispatch_disabled` turns keying off);
-2. the machine's identity: its frozen parameter objects themselves —
-   ``spec``/``params``/``atomics`` on a GPU, ``topology``/``params``/
-   ``jitter`` on a CPU — the same values its run contexts key on.  A
-   machine without them (a fault wrapper) falls back;
+2. the machine's identity: its class and the frozen parameter objects
+   its ``PARTS`` declare (:meth:`repro.common.machine.Machine.identity`),
+   the same values its run contexts key on.  A machine that is not a
+   ``Machine`` (a fault wrapper) falls back;
 3. purity: :func:`repro.compiler.lift.kernel_purity` (skipped by
    :func:`dispatch_forced`);
 4. the kernel signature (:func:`function_signature`), which freezes the
@@ -69,6 +69,7 @@ from dataclasses import is_dataclass
 
 import numpy as np
 
+from repro.common.machine import Machine
 from repro.compiler import lift
 from repro.obs import span as obs_span
 from repro.obs.metrics import counter as _counter
@@ -118,21 +119,18 @@ def dispatch_forced():
 # --------------------------------------------------------------------- #
 
 def _machine_identity(machine) -> tuple | None:
-    """The machine's frozen parameter objects, or None when it has none
-    (dispatch then falls back).  The replay key takes their ``repr``
-    at launch time, so the key follows their current values."""
-    if hasattr(machine, "spec") and hasattr(machine, "atomics"):
-        kind, parts = "gpu", (machine.spec, machine.params, machine.atomics)
-    elif hasattr(machine, "topology") and hasattr(machine, "jitter"):
-        kind, parts = "cpu", (machine.topology, machine.params,
-                              machine.jitter)
-    else:
+    """``(type qualname, *machine.identity())``, or None when the machine
+    is not a :class:`~repro.common.machine.Machine` (dispatch then falls
+    back).  The replay key takes the parts' ``repr`` at launch time, so
+    the key follows their current values."""
+    if not isinstance(machine, Machine):
         return None
+    parts = machine.identity()
     # A dataclass's repr lists its field values; anything else might
     # print an object address that hides an in-place change.
     if not all(map(is_dataclass, parts)):
         return None
-    return (kind, type(machine).__qualname__, *parts)
+    return (type(machine).__qualname__, *parts)
 
 
 _code_digests: dict = {}

@@ -2,8 +2,10 @@
 
 Device-agnostic: a *machine* is anything exposing ``name``, ``time_unit``,
 ``loop_overhead``, ``body_cost(body, ctx)``, ``run_noise(rng, ctx, body)``,
-and ``throughput(per_op_time)`` — i.e. :class:`repro.cpu.CpuMachine` or
-:class:`repro.gpu.GpuDevice`.
+and ``throughput(per_op_time)``; any such duck-typed machine (a
+:class:`repro.faults.FaultyMachine`, say) runs the general loop.  The
+closed form, the compiled noise sampler and the plan memo need a
+:class:`repro.common.machine.Machine`.
 
 The engine reproduces every methodological element of Section III/IV:
 
@@ -73,11 +75,12 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 from repro.common.errors import FaultInjectionError, MeasurementError
+from repro.common.machine import Machine
 from repro.common.rng import RngStreamPool, make_rng
 from repro.core.protocol import MeasurementProtocol
 from repro.core.results import MeasurementResult
 from repro.core.spec import MeasurementSpec
-from repro.faults.machine import FaultyMachine, wrap_machine
+from repro.faults.machine import wrap_machine
 from repro.faults.scenario import active_scenario
 from repro.obs import event as obs_event
 from repro.obs import get_recorder
@@ -197,9 +200,8 @@ class MeasurementEngine:
         # Point plans are memoized on the caller's context, keyed on the
         # machine.  A fault wrapper is built per engine, so keying on it
         # would pin one wrapper (and its fault stream) per engine in a
-        # context that outlives them all; its plans are rebuilt instead.
-        self._plan_memo = self.fast and \
-            not isinstance(self.machine, FaultyMachine)
+        # context that outlives them all: only a Machine's are memoized.
+        self._plan_memo = self.fast and isinstance(self.machine, Machine)
 
     def prime(self, spec: MeasurementSpec, labels: list[str],
               protocol: MeasurementProtocol | None = None) -> None:
@@ -215,10 +217,10 @@ class MeasurementEngine:
         if not self.fast:
             return
         machine = self.machine
-        noise_free = getattr(machine, "noise_free", None)
-        if noise_free is not None:
+        if isinstance(machine, Machine):
             baseline_kept, test_kept = spec.surviving_bodies()
-            if noise_free(baseline_kept) and noise_free(test_kept):
+            if machine.noise_free(baseline_kept) and \
+                    machine.noise_free(test_kept):
                 return  # no draws will happen: nothing to prime
         proto = protocol or self.protocol
         prefix = f"{machine.name}/{spec.name}/"
@@ -312,11 +314,11 @@ class MeasurementEngine:
         ops, costs, whether the point is provably noise-free, and the
         machine's compiled noise sampler.  Every entry is a pure function
         of (machine, spec, ctx) and the two protocol fields that affect
-        costs (unroll, n_warmup), so a fast engine on an unwrapped
-        machine memoizes the plan on the context.  A fault-wrapped
-        engine rebuilds it per point (it never has silence or a
-        sampler), and a ``fast=False`` engine recomputes it per point
-        and never asks for either."""
+        costs (unroll, n_warmup), so a fast engine on a ``Machine``
+        memoizes the plan on the context.  Any other machine (a fault
+        wrapper) has it rebuilt per point with no silence or sampler,
+        and a ``fast=False`` engine recomputes it per point and never
+        asks for either."""
         machine = self.machine
         fast = self.fast
         cache = getattr(ctx, "_cost_cache", None) if self._plan_memo \
@@ -335,14 +337,13 @@ class MeasurementEngine:
         if extra_ops:
             cost_baseline, cost_test = self._point_costs(
                 proto, baseline_kept, test_kept, ctx)
-        if extra_ops and fast:
-            noise_free = getattr(machine, "noise_free", None)
-            silent = noise_free is not None and \
-                noise_free(baseline_kept) and noise_free(test_kept)
-            make_sampler = getattr(machine, "noise_sampler", None)
-            if not silent and make_sampler is not None:
-                bind = make_sampler(ctx, (baseline_kept, test_kept),
-                                    (cost_baseline, cost_test))
+        if extra_ops and fast and isinstance(machine, Machine):
+            silent = machine.noise_free(baseline_kept) and \
+                machine.noise_free(test_kept)
+            if not silent:
+                bind = machine.noise_sampler(
+                    ctx, (baseline_kept, test_kept),
+                    (cost_baseline, cost_test))
         plan = (baseline_kept, test_kept, eliminated, extra_ops,
                 cost_baseline, cost_test, silent, bind)
         if key is not None:

@@ -105,9 +105,6 @@ class CpuCostModel:
                  coherence: CoherenceModel | None = None) -> None:
         self.params = params
         self.coherence = coherence or CoherenceModel()
-        # Per-call scratch: NUMA multiplier of the configuration currently
-        # being priced (set at the top of op_cost_ns).
-        self._numa_mult = 1.0
 
     def _numa_multiplier(self, n_threads: int,
                          core_placement: Mapping[int, object],
@@ -145,25 +142,25 @@ class CpuCostModel:
         Raises:
             ConfigurationError: for GPU-only op kinds.
         """
-        self._numa_mult = self._numa_multiplier(n_threads, core_placement,
-                                                numa_placement)
+        numa = self._numa_multiplier(n_threads, core_placement,
+                                     numa_placement)
         kind = op.kind
         if kind is PrimitiveKind.OMP_BARRIER:
-            return self._barrier(n_threads, core_placement)
+            return self._barrier(n_threads, core_placement, numa)
         if kind is PrimitiveKind.OMP_ATOMIC_UPDATE:
-            return self._atomic_rmw(op, n_threads, core_placement)
+            return self._atomic_rmw(op, n_threads, core_placement, numa)
         if kind is PrimitiveKind.OMP_ATOMIC_CAPTURE:
-            return (self._atomic_rmw(op, n_threads, core_placement)
+            return (self._atomic_rmw(op, n_threads, core_placement, numa)
                     + self.params.capture_extra_ns)
         if kind is PrimitiveKind.OMP_ATOMIC_WRITE:
-            return self._atomic_write(op, n_threads, core_placement)
+            return self._atomic_write(op, n_threads, core_placement, numa)
         if kind is PrimitiveKind.OMP_ATOMIC_READ:
             # Same cost as a plain read: the paper found no performance
             # penalty for reading atomically (Section V-A2), so the
             # contrast spec (atomic read vs plain read) measures ~zero.
             return 0.5
         if kind is PrimitiveKind.OMP_CRITICAL_UPDATE:
-            return self._critical(op, n_threads, core_placement)
+            return self._critical(op, n_threads, core_placement, numa)
         if kind is PrimitiveKind.OMP_LOCK_ACQUIRE:
             # Acquiring a contended lock waits behind other cores' lock
             # round-trips, like the critical section (which OpenMP builds
@@ -175,9 +172,9 @@ class CpuCostModel:
         if kind is PrimitiveKind.OMP_LOCK_RELEASE:
             return self.params.lock_overhead_ns / 2
         if kind is PrimitiveKind.OMP_FLUSH:
-            return self._flush(op, n_threads, core_placement)
+            return self._flush(op, n_threads, core_placement, numa)
         if kind is PrimitiveKind.PLAIN_UPDATE:
-            return self._plain_update(op, n_threads, core_placement)
+            return self._plain_update(op, n_threads, core_placement, numa)
         if kind is PrimitiveKind.PLAIN_READ:
             return 0.5
         raise ConfigurationError(f"{kind} is not a CPU primitive")
@@ -198,23 +195,25 @@ class CpuCostModel:
         return min(max(cores - 1, 0), knee)
 
     def _false_sharing_ns(self, op: Op, n_threads: int,
-                          core_placement: Mapping[int, object]) -> float:
+                          core_placement: Mapping[int, object],
+                          numa: float) -> float:
         assert isinstance(op.target, PrivateArrayElement)
         partners = self.coherence.max_false_sharing_partners(
             op.target, n_threads, core_placement)
-        return self.params.false_share_ns * partners * self._numa_mult
+        return self.params.false_share_ns * partners * numa
 
     def _barrier(self, n_threads: int,
-                 core_placement: Mapping[int, object]) -> float:
+                 core_placement: Mapping[int, object],
+                 numa: float) -> float:
         p = self.params
         cores = self._contending_cores(n_threads, core_placement)
         return (p.barrier_base_ns
                 + p.barrier_per_core_ns * min(max(cores - 1, 0),
-                                              p.contention_knee)
-                * self._numa_mult)
+                                              p.contention_knee) * numa)
 
     def _atomic_rmw(self, op: Op, n_threads: int,
-                    core_placement: Mapping[int, object]) -> float:
+                    core_placement: Mapping[int, object],
+                    numa: float) -> float:
         p = self.params
         if op.dtype is None or op.target is None:
             raise ConfigurationError("atomic update needs dtype and target")
@@ -226,11 +225,13 @@ class CpuCostModel:
             contenders = self._shared_contention(n_threads, core_placement,
                                                  p.contention_knee)
             return alu * (contenders + 1) \
-                + p.line_transfer_ns * contenders * self._numa_mult
-        return alu + self._false_sharing_ns(op, n_threads, core_placement)
+                + p.line_transfer_ns * contenders * numa
+        return alu + self._false_sharing_ns(op, n_threads, core_placement,
+                                           numa)
 
     def _atomic_write(self, op: Op, n_threads: int,
-                      core_placement: Mapping[int, object]) -> float:
+                      core_placement: Mapping[int, object],
+                      numa: float) -> float:
         # No arithmetic: dtype and word size are irrelevant (Fig. 4).
         p = self.params
         if op.target is None:
@@ -239,12 +240,13 @@ class CpuCostModel:
             contenders = self._shared_contention(n_threads, core_placement,
                                                  p.contention_knee)
             return p.store_ns * (contenders + 1) \
-                + p.line_transfer_ns * contenders * self._numa_mult
+                + p.line_transfer_ns * contenders * numa
         return p.store_ns + self._false_sharing_ns(op, n_threads,
-                                                   core_placement)
+                                                   core_placement, numa)
 
     def _critical(self, op: Op, n_threads: int,
-                  core_placement: Mapping[int, object]) -> float:
+                  core_placement: Mapping[int, object],
+                  numa: float) -> float:
         p = self.params
         if op.dtype is None:
             raise ConfigurationError("critical update needs a dtype")
@@ -254,10 +256,11 @@ class CpuCostModel:
         contenders = self._shared_contention(n_threads, core_placement,
                                              p.critical_knee)
         return ((p.lock_overhead_ns + p.alu_ns(op.dtype)) * (contenders + 1)
-                + p.critical_transfer_ns * contenders * self._numa_mult)
+                + p.critical_transfer_ns * contenders * numa)
 
     def _flush(self, op: Op, n_threads: int,
-               core_placement: Mapping[int, object]) -> float:
+               core_placement: Mapping[int, object],
+               numa: float) -> float:
         """Fence cost: drain outstanding coherence traffic.
 
         Without false sharing the store buffers hold only L1-resident
@@ -274,7 +277,7 @@ class CpuCostModel:
             op.target, n_threads, core_placement)
         if partners == 0:
             return p.flush_base_ns
-        drain = p.flush_drain_ns * partners * self._numa_mult
+        drain = p.flush_drain_ns * partners * numa
         cost = p.flush_base_ns + drain
         epl = elements_per_line(self.coherence.geometry, op.target)
         partially_padded = op.target.stride > 1 and epl > 1
@@ -284,12 +287,13 @@ class CpuCostModel:
         return max(cost, p.flush_base_ns)
 
     def _plain_update(self, op: Op, n_threads: int,
-                      core_placement: Mapping[int, object]) -> float:
+                      core_placement: Mapping[int, object],
+                      numa: float) -> float:
         """Non-atomic RMW on a private element: pays false sharing but no
         atomicity overhead (the flush test's scaffolding)."""
         p = self.params
         cost = p.plain_update_ns
         if isinstance(op.target, PrivateArrayElement):
             cost += 0.5 * self._false_sharing_ns(op, n_threads,
-                                                 core_placement)
+                                                 core_placement, numa)
         return cost

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.machine import Machine
 from repro.common.rng import make_rng
 from repro.faults.scenario import FaultScenario
 from repro.obs.metrics import REGISTRY
@@ -38,9 +39,9 @@ class FaultyMachine:
     Args:
         machine: Any engine-compatible machine (CPU or GPU).
         scenario: The fault composition to apply.  If it requests a
-            jitter storm and the machine carries a
-            :class:`~repro.cpu.jitter.JitterModel`, the wrapped machine
-            is rebuilt with the stormed jitter model.
+            jitter storm and the machine has a ``jitter`` part (a
+            :class:`~repro.cpu.jitter.JitterModel`), the noise comes from
+            a copy of the machine with the stormed jitter model.
     """
 
     def __init__(self, machine: object, scenario: FaultScenario) -> None:
@@ -48,10 +49,10 @@ class FaultyMachine:
         # changes only the jitter, and one long-lived machine keeps the
         # op-price memo of a shared context from growing per wrapper.
         self._clean = machine
-        if scenario.jitter_storm != 1.0 and _has_jitter(machine):
-            machine = type(machine)(
-                machine.topology, machine.params,
-                machine.jitter.storm(scenario.jitter_storm))
+        if scenario.jitter_storm != 1.0 and isinstance(machine, Machine) \
+                and "jitter" in machine.PARTS:
+            machine = machine.replace_parts(
+                jitter=machine.jitter.storm(scenario.jitter_storm))
         self.inner = machine
         self.scenario = scenario
         self._fault_rng = make_rng(
@@ -131,11 +132,6 @@ class FaultyMachine:
         info = dict(self.inner.describe())
         info["faults"] = self.scenario.describe()
         return info
-
-
-def _has_jitter(machine: object) -> bool:
-    return all(hasattr(machine, attr)
-               for attr in ("jitter", "topology", "params"))
 
 
 def wrap_machine(machine: object,

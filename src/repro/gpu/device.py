@@ -1,7 +1,7 @@
 """The GPU device: spec + cost model behind the machine interface.
 
-A :class:`GpuDevice` implements the same interface the measurement engine
-uses for :class:`repro.cpu.machine.CpuMachine`, with time measured in clock
+A :class:`GpuDevice` is a :class:`repro.common.machine.Machine`, like
+:class:`repro.cpu.machine.CpuMachine`, with time measured in clock
 cycles (the paper reads ``clock64()`` on the GPU) and near-deterministic
 timing: "there are no background processes or OS, and we directly read the
 cycle counter.  Thus, many of the GPU tests yield the exact same runtime"
@@ -11,10 +11,11 @@ CPU round trip crosses the PCIe bus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common.machine import Machine, RunContext
 from repro.common.units import throughput_from_cycles
 from repro.compiler.ops import Op, PrimitiveKind
 from repro.gpu.atomic_units import AtomicUnitModel
@@ -24,7 +25,7 @@ from repro.gpu.spec import GpuSpec, LaunchConfig
 
 
 @dataclass(frozen=True)
-class GpuRunContext:
+class GpuRunContext(RunContext):
     """Resolved execution context for one CUDA measurement configuration.
 
     Attributes:
@@ -34,10 +35,6 @@ class GpuRunContext:
 
     launch: LaunchConfig
     occ: OccupancyResult
-    #: Per-context op price memo (occupancy pricing is deterministic per
-    #: launch, so each op needs pricing once per context).
-    _cost_cache: dict = field(repr=False, compare=False,
-                              default_factory=dict)
 
 
 def exponential_pair_sampler(noisy_b: bool, noisy_t: bool, scale: float):
@@ -58,8 +55,13 @@ def exponential_pair_sampler(noisy_b: bool, noisy_t: bool, scale: float):
     return bind
 
 
-class GpuDevice:
-    """A simulated NVIDIA GPU (one of Table I's devices, or custom)."""
+class GpuDevice(Machine):
+    """A simulated NVIDIA GPU (one of Table I's devices, or custom).
+
+    Contexts are ``context(launch)``.
+    """
+
+    PARTS = ("spec", "params", "atomics")
 
     time_unit = "cycles"
 
@@ -80,22 +82,6 @@ class GpuDevice:
         self.spec = spec
         self.params = params or GpuCostParams()
         self.atomics = atomics or AtomicUnitModel()
-        self._cost_models: dict[tuple, GpuCostModel] = {}
-        self._context_cache: dict[tuple, GpuRunContext] = {}
-
-    @property
-    def cost_model(self) -> GpuCostModel:
-        """The cost model of the current ``spec``/``params``/``atomics``.
-
-        Memoized on the same frozen values :meth:`context` keys on, so
-        replacing one of the attributes (``device.params =
-        dataclasses.replace(...)``) prices with the new values.
-        """
-        key = (self.spec, self.params, self.atomics)
-        model = self._cost_models.get(key)
-        if model is None:
-            model = self._cost_models[key] = GpuCostModel(*key)
-        return model
 
     @property
     def name(self) -> str:
@@ -105,35 +91,18 @@ class GpuDevice:
     def clock_ghz(self) -> float:
         return self.spec.clock_ghz
 
-    def context(self, launch: LaunchConfig) -> GpuRunContext:
-        """Resolve a launch into its occupancy context.
+    def _build_cost_model(self) -> GpuCostModel:
+        return GpuCostModel(self.spec, self.params, self.atomics)
 
-        Cached per launch *and* per parameter state: the context carries
-        the op-price memo (and the engine's per-point plans), so the key
-        also holds the frozen ``spec``/``params``/``atomics``, which hash
-        by value.  An in-place parameter flip therefore resolves a fresh
-        context instead of serving prices of the old values.
-        """
-        key = (launch, self.spec, self.params, self.atomics)
-        cached = self._context_cache.get(key)
-        if cached is not None:
-            return cached
+    def _resolve(self, launch: LaunchConfig) -> GpuRunContext:
+        """Resolve a launch into its occupancy context."""
         occ = occupancy(launch.grid_blocks, launch.block_threads,
                         self.spec.sm_count, self.spec.max_threads_per_sm,
                         self.spec.max_blocks_per_sm)
-        ctx = GpuRunContext(launch=launch, occ=occ)
-        self._context_cache[key] = ctx
-        return ctx
+        return GpuRunContext(launch=launch, occ=occ)
 
-    def op_cost(self, op: Op, ctx: GpuRunContext) -> float:
-        """Deterministic steady-state cost of one op (cycles)."""
-        # Keyed by (device, op): a context may be priced by several
-        # devices (e.g. the aggregation ablation's paired devices).
-        cached = ctx._cost_cache.get((self, op))
-        if cached is None:
-            cached = self.cost_model.op_cost_cycles(op, ctx.launch, ctx.occ)
-            ctx._cost_cache[(self, op)] = cached
-        return cached
+    def _price(self, op: Op, ctx: GpuRunContext) -> float:
+        return self.cost_model.op_cost_cycles(op, ctx.launch, ctx.occ)
 
     def atomic_issue_cost(self, op: Op, ctx: GpuRunContext,
                           n_addresses: int, n_lanes: int,
@@ -158,19 +127,6 @@ class GpuDevice:
             ctx._cost_cache[key] = cached
         return cached
 
-    def body_cost(self, body: tuple[Op, ...] | list[Op],
-                  ctx: GpuRunContext) -> float:
-        """Cost of one unrolled loop-body iteration (cycles)."""
-        # Whole-body memo, mirroring the CPU machine: one lookup per
-        # sweep point instead of a per-op sum (tuples only).
-        if type(body) is tuple:
-            cached = ctx._cost_cache.get((self, body))
-            if cached is None:
-                cached = sum(self.op_cost(op, ctx) for op in body)
-                ctx._cost_cache[(self, body)] = cached
-            return cached
-        return sum(self.op_cost(op, ctx) for op in body)
-
     def run_noise(self, rng: np.random.Generator, ctx: GpuRunContext,
                   body: tuple[Op, ...] = (),
                   base_cost: float = 0.0) -> float:
@@ -186,28 +142,16 @@ class GpuDevice:
             return float(rng.exponential(self._PCIE_NOISE_CYCLES))
         return 0.0
 
-    def noise_sampler(self, ctx: GpuRunContext,
-                      bodies: tuple[tuple[Op, ...], tuple[Op, ...]],
-                      base_costs: tuple[float, float]):
-        """The compiled noise of one baseline/test pair (see
-        :func:`exponential_pair_sampler`), or ``None`` when the engine
-        must call :meth:`run_noise` itself (subclasses overriding it)."""
-        if type(self).run_noise is not GpuDevice.run_noise:
-            return None
-        del ctx, base_costs
+    def _sampler(self, ctx: GpuRunContext,
+                 bodies: tuple[tuple[Op, ...], tuple[Op, ...]],
+                 base_costs: tuple[float, float]):
         noisy_b, noisy_t = (
             any(op.kind is PrimitiveKind.THREADFENCE_SYSTEM for op in body)
             for body in bodies)
         return exponential_pair_sampler(noisy_b, noisy_t,
                                         self._PCIE_NOISE_CYCLES)
 
-    def noise_free(self, body: tuple[Op, ...] = ()) -> bool:
-        """True when runs of ``body`` are exactly deterministic (every
-        on-device primitive; only system-scope fences draw noise).  A
-        subclass with its own :meth:`run_noise` is never assumed
-        deterministic."""
-        if type(self).run_noise is not GpuDevice.run_noise:
-            return False
+    def _silent(self, body: tuple[Op, ...]) -> bool:
         return not any(op.kind is PrimitiveKind.THREADFENCE_SYSTEM
                        for op in body)
 
@@ -218,7 +162,7 @@ class GpuDevice:
     def with_atomics(self, atomics: AtomicUnitModel) -> "GpuDevice":
         """Copy of this device with a different atomic-unit model
         (used by the warp-aggregation ablation)."""
-        return GpuDevice(self.spec, self.params, atomics)
+        return self.replace_parts(atomics=atomics)
 
     def describe(self) -> dict[str, object]:
         """Table I row for this device."""

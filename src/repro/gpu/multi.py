@@ -1,7 +1,7 @@
 """A multi-GPU machine: N identical devices behind one interconnect.
 
-:class:`MultiGpu` presents the same machine interface the measurement
-engine uses for :class:`repro.gpu.device.GpuDevice` and
+:class:`MultiGpu` is a :class:`repro.common.machine.Machine`, like
+:class:`repro.gpu.device.GpuDevice` and
 :class:`repro.cpu.machine.CpuMachine`, with the *device count* as the
 swept dimension instead of the launch shape.  Per-device primitives are
 priced by the underlying device's cost model unchanged; only the three
@@ -27,22 +27,23 @@ exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.machine import Machine, RunContext
 from repro.common.units import throughput_from_cycles
 from repro.compiler.ops import ATOMIC_KINDS, Op, PrimitiveKind, Scope
 from repro.gpu.device import GpuDevice, exponential_pair_sampler
 from repro.gpu.interconnect import NVLINK3, InterconnectModel
-from repro.gpu.occupancy import OccupancyResult, occupancy
+from repro.gpu.occupancy import OccupancyResult
 from repro.gpu.spec import LaunchConfig
 from repro.mem.coherence import CoherenceModel
 
 
 @dataclass(frozen=True)
-class MultiGpuRunContext:
+class MultiGpuRunContext(RunContext):
     """Resolved context for one multi-device measurement configuration.
 
     Attributes:
@@ -54,10 +55,6 @@ class MultiGpuRunContext:
     n_devices: int
     launch: LaunchConfig
     occ: OccupancyResult
-    #: Per-context op price memo, same contract as
-    #: :class:`repro.gpu.device.GpuRunContext`.
-    _cost_cache: dict = field(repr=False, compare=False,
-                              default_factory=dict)
 
 
 def _body_is_linked(body: tuple[Op, ...]) -> bool:
@@ -73,12 +70,16 @@ def _body_is_linked(body: tuple[Op, ...]) -> bool:
     return False
 
 
-class MultiGpu:
+class MultiGpu(Machine):
     """``n`` copies of one GPU preset joined by an interconnect.
 
-    Not a :class:`GpuDevice` subclass on purpose: this class implements
-    the machine interface, compiled noise sampler included, directly.
+    Not a :class:`GpuDevice` subclass on purpose: its identity is the
+    device's plus the link's, and contexts are
+    ``context(n_devices, launch)``.
     """
+
+    PARTS = (*(f"device.{part}" for part in GpuDevice.PARTS),
+             "interconnect", "coherence")
 
     time_unit = "cycles"
 
@@ -98,7 +99,6 @@ class MultiGpu:
         self.device = device
         self.interconnect = interconnect
         self.coherence = coherence or CoherenceModel()
-        self._context_cache: dict[tuple, MultiGpuRunContext] = {}
 
     @property
     def name(self) -> str:
@@ -113,32 +113,16 @@ class MultiGpu:
         """The per-device calibration constants (device pricing)."""
         return self.device.params
 
-    def context(self, n_devices: int,
-                launch: LaunchConfig) -> MultiGpuRunContext:
-        """Resolve a (device count, launch) pair into a cached context.
+    def _build_cost_model(self):
+        return self.device.cost_model
 
-        The cache key includes the device's frozen ``spec``/``params``/
-        ``atomics`` (which hash by value), the interconnect, and the
-        coherence model, so swapping any of them, or flipping one of
-        their fields in place, resolves a fresh context and with it a
-        fresh op-price memo.
-        """
+    def _resolve(self, n_devices: int,
+                 launch: LaunchConfig) -> MultiGpuRunContext:
+        """Resolve a (device count, launch) pair into a context."""
         if n_devices < 1:
             raise ConfigurationError("need at least one device")
-        device = self.device
-        key = (n_devices, launch, device.spec, device.params,
-               device.atomics, self.interconnect, self.coherence)
-        cached = self._context_cache.get(key)
-        if cached is not None:
-            return cached
-        spec = device.spec
-        occ = occupancy(launch.grid_blocks, launch.block_threads,
-                        spec.sm_count, spec.max_threads_per_sm,
-                        spec.max_blocks_per_sm)
-        ctx = MultiGpuRunContext(n_devices=n_devices, launch=launch,
-                                 occ=occ)
-        self._context_cache[key] = ctx
-        return ctx
+        return MultiGpuRunContext(n_devices=n_devices, launch=launch,
+                                  occ=self.device.context(launch).occ)
 
     # ------------------------------ pricing ----------------------------- #
 
@@ -152,16 +136,8 @@ class MultiGpu:
         return self.coherence.contending_cores(
             n_devices, {i: i for i in range(n_devices)})
 
-    def op_cost(self, op: Op, ctx: MultiGpuRunContext) -> float:
-        """Deterministic steady-state cost of one op (cycles)."""
-        cached = ctx._cost_cache.get((self, op))
-        if cached is None:
-            cached = self._price(op, ctx)
-            ctx._cost_cache[(self, op)] = cached
-        return cached
-
     def _price(self, op: Op, ctx: MultiGpuRunContext) -> float:
-        model = self.device.cost_model
+        model = self.cost_model
         link = self.interconnect
         d = ctx.n_devices
         if op.kind is PrimitiveKind.MULTI_GRID_SYNC:
@@ -186,17 +162,6 @@ class MultiGpu:
             return base + link.latency_cycles * (d - 1)
         return model.op_cost_cycles(op, ctx.launch, ctx.occ)
 
-    def body_cost(self, body: tuple[Op, ...] | list[Op],
-                  ctx: MultiGpuRunContext) -> float:
-        """Cost of one unrolled loop-body iteration (cycles)."""
-        if type(body) is tuple:
-            cached = ctx._cost_cache.get((self, body))
-            if cached is None:
-                cached = sum(self.op_cost(op, ctx) for op in body)
-                ctx._cost_cache[(self, body)] = cached
-            return cached
-        return sum(self.op_cost(op, ctx) for op in body)
-
     # ------------------------------- noise ------------------------------ #
 
     def run_noise(self, rng: np.random.Generator, ctx: MultiGpuRunContext,
@@ -208,31 +173,19 @@ class MultiGpu:
             return float(rng.exponential(self._LINK_NOISE_CYCLES))
         return 0.0
 
-    def noise_sampler(self, ctx: MultiGpuRunContext,
-                      bodies: tuple[tuple[Op, ...], tuple[Op, ...]],
-                      base_costs: tuple[float, float]):
-        """The compiled link noise of one baseline/test pair (see
-        :func:`repro.gpu.device.exponential_pair_sampler`), or ``None``
-        when the engine must call :meth:`run_noise` itself (subclasses
-        overriding it)."""
-        if type(self).run_noise is not MultiGpu.run_noise:
-            return None
-        del ctx, base_costs
+    def _sampler(self, ctx: MultiGpuRunContext,
+                 bodies: tuple[tuple[Op, ...], tuple[Op, ...]],
+                 base_costs: tuple[float, float]):
         noisy_b, noisy_t = (_body_is_linked(body) for body in bodies)
         return exponential_pair_sampler(noisy_b, noisy_t,
                                         self._LINK_NOISE_CYCLES)
 
-    def noise_free(self, body: tuple[Op, ...] = ()) -> bool:
-        """True when runs of ``body`` never touch the link.  A subclass
-        with its own :meth:`run_noise` is never assumed deterministic."""
-        if type(self).run_noise is not MultiGpu.run_noise:
-            return False
+    def _silent(self, body: tuple[Op, ...]) -> bool:
         return not _body_is_linked(body)
 
     def throughput(self, per_op_time: float) -> float:
         """Per-thread ops/s from per-op cycles at the device clock."""
-        return throughput_from_cycles(per_op_time,
-                                      self.device.spec.clock_ghz)
+        return throughput_from_cycles(per_op_time, self.clock_ghz)
 
     def describe(self) -> dict[str, object]:
         """Summary row (device spec + link)."""

@@ -9,7 +9,7 @@ from repro.cpu.costs import CpuCostModel, CpuCostParams
 from repro.cpu.jitter import JitterModel
 from repro.cpu.machine import CpuMachine
 from repro.cpu.topology import CpuTopology
-from repro.mem.layout import SharedScalar
+from repro.mem.layout import PrivateArrayElement, SharedScalar
 
 MODEL = CpuCostModel(CpuCostParams())
 OP = op_atomic(PrimitiveKind.OMP_ATOMIC_UPDATE, INT, SharedScalar(INT))
@@ -62,6 +62,18 @@ class TestNumaMultiplier:
         split = {tid: tid % 2 for tid in range(8)}
         assert model.op_cost_ns(OP, 8, cores(8), split) == \
             model.op_cost_ns(OP, 8, cores(8))
+
+    def test_pricing_leaves_the_model_unchanged(self):
+        """The cost-model memo shares one model across contexts, so
+        pricing may keep no per-call state on it."""
+        model = CpuCostModel(CpuCostParams())
+        before = dict(vars(model))
+        split = {tid: tid % 2 for tid in range(8)}
+        for op in (OP, op_barrier(),
+                   op_atomic(PrimitiveKind.OMP_ATOMIC_UPDATE, INT,
+                             PrivateArrayElement(INT, 1))):
+            model.op_cost_ns(op, 8, cores(8), split)
+        assert vars(model) == before
 
 
 class TestMachineLevel:

@@ -13,6 +13,7 @@ from repro.compiler.ops import op_barrier
 from repro.core.engine import MeasurementEngine
 from repro.core.protocol import MeasurementProtocol
 from repro.core.spec import MeasurementSpec
+from repro.cpu.machine import CpuMachine
 from repro.cpu.presets import cpu_preset
 from repro.experiments.base import omp_barrier_spec, sweep_omp
 from repro.faults.machine import FaultyMachine, wrap_machine
@@ -155,6 +156,20 @@ class TestActiveScenario:
     def test_name_passthrough_keeps_jitter_streams(self, quiet_cpu):
         scenario = FaultScenario("t", ())
         assert FaultyMachine(quiet_cpu, scenario).name == quiet_cpu.name
+
+
+class TestJitterStorm:
+    def test_storm_keeps_a_subclass_with_its_own_constructor(self):
+        class Spy(CpuMachine):
+            def __init__(self, base: CpuMachine) -> None:
+                super().__init__(base.topology, base.params, base.jitter)
+
+        base = cpu_preset(3)
+        faulty = FaultyMachine(Spy(base),
+                               FaultScenario("x", jitter_storm=3.0))
+        assert type(faulty.inner) is Spy
+        assert faulty.inner.jitter == base.jitter.storm(3.0)
+        assert faulty.inner.params is base.params
 
 
 class TestSharedContextUnderFaults:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.compiler.ops import PrimitiveKind, op_barrier, op_fence
+from repro.gpu.device import GpuDevice
 from repro.gpu.presets import SYSTEM3_GPU
 from repro.gpu.spec import (
     GpuSpec,
@@ -101,3 +102,13 @@ class TestGpuDevice:
         assert other is not SYSTEM3_GPU
         assert not other.atomics.aggregation
         assert SYSTEM3_GPU.atomics.aggregation  # original untouched
+
+    def test_with_atomics_keeps_the_subclass(self):
+        class Tagged(GpuDevice):
+            def __init__(self, base: GpuDevice) -> None:
+                super().__init__(base.spec, base.params, base.atomics)
+
+        device = Tagged(SYSTEM3_GPU)
+        other = device.with_atomics(device.atomics.without_aggregation())
+        assert type(other) is Tagged
+        assert not other.atomics.aggregation
