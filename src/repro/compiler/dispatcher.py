@@ -13,22 +13,26 @@ generator.  Misses and ineligible launches run the interpreter
 untouched; a miss's outcome is then recorded.
 
 Every key is a value.  :meth:`Dispatcher._key` is the one keying path
-and holds the whole eligibility chain:
+and holds the whole eligibility chain; a launch that fails a link falls
+back to the interpreter:
 
-1. the mode (:func:`dispatch_disabled` turns keying off);
-2. the machine's identity: its class and the frozen parameter objects
+1. the machine's identity: its class and the frozen parameter objects
    its ``PARTS`` declare (:meth:`repro.common.machine.Machine.identity`),
    the same values its run contexts key on.  A machine that is not a
    ``Machine`` (a fault wrapper) falls back;
-3. purity: :func:`repro.compiler.lift.kernel_purity` (skipped by
-   :func:`dispatch_forced`);
-4. the kernel signature (:func:`function_signature`), which freezes the
+2. purity: :func:`repro.compiler.lift.kernel_purity`;
+3. the kernel signature (:func:`function_signature`), which freezes the
    current values of its closure cells, defaults and the module globals
-   it loads; a read-only ndarray among them is frozen by a digest of
-   its bytes, taken at this launch;
-5. the memory: array names, dtypes and shapes, plus a digest of the
+   it loads, all of which must be deeply immutable
+   (:func:`repro.compiler.lift.immutable_value`); a read-only ndarray
+   among them is frozen by a digest of its bytes, taken at this launch;
+4. the memory: array names, dtypes and shapes, plus a digest of the
    bytes.  The memory and the signed read-only arrays together must
    fit the dispatcher's ``memory_cap``.
+
+The interpreters consult the dispatcher only on the fast tier
+(``fast=True``, the default); ``fast=False`` never dispatches and is
+the oracle replay is checked against.
 
 The key is a ``(shape digest, content digest)`` pair.  The shape digest
 is the ``repr`` of everything but the array bytes, taken at launch
@@ -43,8 +47,8 @@ untraced entry serves only untraced ones.  A replayed traced launch
 hands back the recorded events in a fresh timeline.
 
 Replay is byte-identical to the reference interpreter, timelines
-included; the differential-fuzz harness pins this with the dispatcher
-forced on.
+included; the differential-fuzz harness pins this on generated programs
+that take the chain above.
 
 Counters (docs/observability.md): ``dispatch.hit`` / ``dispatch.miss``
 (keyed launches served / not served from the replay cache),
@@ -61,9 +65,7 @@ import enum
 import hashlib
 import marshal
 import threading
-import types
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import fields as _dc_fields
 from dataclasses import is_dataclass
 
@@ -78,40 +80,6 @@ _C_HIT = _counter("dispatch.hit")
 _C_MISS = _counter("dispatch.miss")
 _C_FALLBACK = _counter("dispatch.fallback")
 _C_EVICT = _counter("dispatch.evictions")
-
-
-# --------------------------------------------------------------------- #
-# Engagement mode
-# --------------------------------------------------------------------- #
-
-_MODE_STACK: list[str] = []
-
-
-def dispatch_mode() -> str:
-    """Current engagement mode: ``"on"``, ``"off"``, or ``"force"``."""
-    return _MODE_STACK[-1] if _MODE_STACK else "on"
-
-
-@contextmanager
-def dispatch_disabled():
-    """Context: route every launch straight to the fast/scalar tiers."""
-    _MODE_STACK.append("off")
-    try:
-        yield
-    finally:
-        _MODE_STACK.pop()
-
-
-@contextmanager
-def dispatch_forced():
-    """Context: key launches without the static purity proof, freezing
-    mutable cells and globals by value.  For the fuzz/equivalence
-    harnesses."""
-    _MODE_STACK.append("force")
-    try:
-        yield
-    finally:
-        _MODE_STACK.pop()
 
 
 # --------------------------------------------------------------------- #
@@ -149,20 +117,16 @@ class _Unsignable(Exception):
 
 
 class _Signer:
-    """One signing pass over a kernel and the functions it reaches.
+    """One signing pass over a kernel.
 
-    ``permissive`` freezes mutable cells by value (``dispatch_forced``);
-    ``seen`` holds the functions on the current path, so a revisit is a
-    cycle; ``nbytes`` sums the array bytes digested so far, which may
-    not pass ``cap``.
+    ``nbytes`` sums the array bytes digested so far, which may not pass
+    ``cap``.
     """
 
-    __slots__ = ("permissive", "cap", "seen", "nbytes")
+    __slots__ = ("cap", "nbytes")
 
-    def __init__(self, permissive: bool, cap: float) -> None:
-        self.permissive = permissive
+    def __init__(self, cap: float) -> None:
         self.cap = cap
-        self.seen: set[int] = set()
         self.nbytes = 0
 
     def state(self, x):
@@ -188,49 +152,24 @@ class _Signer:
             return ("set", tuple(sorted(map(self.state, x), key=repr)))
         return x
 
-    def cell(self, v, depth: int = 0):
-        if depth > 6:
-            raise _Unsignable("cell nesting too deep")
-        if lift.immutable_value(v):
-            return self.state(v)
-        if not self.permissive:
+    def cell(self, v):
+        if not lift.immutable_value(v):
             raise _Unsignable(f"mutable value {type(v).__name__}")
-        if isinstance(v, (list, tuple)):
-            return ("seq", tuple(self.cell(x, depth + 1) for x in v))
-        if isinstance(v, dict):
-            return ("map", tuple(sorted(
-                ((k, self.cell(x, depth + 1)) for k, x in v.items()),
-                key=repr)))
-        if isinstance(v, (set, frozenset)):
-            return ("set", tuple(sorted(
-                (self.cell(x, depth + 1) for x in v), key=repr)))
-        if isinstance(v, np.ndarray):
-            return self.state(v)
-        if isinstance(v, types.FunctionType):
-            return ("fn", self.function(v, depth + 1))
-        raise _Unsignable(f"unsignable value {type(v).__name__}")
+        return self.state(v)
 
-    def function(self, fn, depth: int = 0) -> tuple:
+    def function(self, fn) -> tuple:
         """See :func:`function_signature`."""
-        if id(fn) in self.seen:
-            return ("fn-cycle", _code_digest(fn.__code__))
-        self.seen.add(id(fn))
-        try:
-            cells = tuple(self.cell(cell.cell_contents, depth)
-                          for cell in (fn.__closure__ or ()))
-            defaults = tuple(self.cell(v, depth)
-                             for v in (fn.__defaults__ or ()))
-            module = fn.__globals__
-            globals_ = tuple(
-                (name, self.cell(module[name], depth))
-                for name in lift._global_load_names(fn.__code__)
-                if name in module)
-        finally:
-            self.seen.discard(id(fn))
+        cells = tuple(self.cell(cell.cell_contents)
+                      for cell in (fn.__closure__ or ()))
+        defaults = tuple(self.cell(v) for v in (fn.__defaults__ or ()))
+        module = fn.__globals__
+        globals_ = tuple((name, self.cell(module[name]))
+                         for name in lift._global_load_names(fn.__code__)
+                         if name in module)
         return (_code_digest(fn.__code__), cells, defaults, globals_)
 
 
-def function_signature(fn, permissive: bool) -> tuple:
+def function_signature(fn) -> tuple:
     """Identity of a kernel/body: code digest plus the current values
     of its closure cells, defaults, and every module global its code
     loads (:func:`repro.compiler.lift._global_load_names`; names that
@@ -243,16 +182,11 @@ def function_signature(fn, permissive: bool) -> tuple:
     taken at every launch, so re-enabling writes and changing it keys a
     different entry too.
 
-    Recursive closures (a function whose cell holds itself, directly or
-    through another function) are frozen as a cycle marker carrying the
-    revisited function's code digest — sound because the cycle shape is
-    itself part of the structure being digested.
-
     Raises:
-        _Unsignable: when a cell, default, or global cannot be frozen
-            (mutable in strict mode, or an exotic type).
+        _Unsignable: when a cell, default, or global is not deeply
+            immutable.
     """
-    return _Signer(permissive, float("inf")).function(fn)
+    return _Signer(float("inf")).function(fn)
 
 
 def _shape_digest(sig: tuple) -> bytes:
@@ -389,21 +323,15 @@ class Dispatcher:
         """``((shape digest, content digest), pre-bytes snapshot)`` for
         one launch, or None when it is not keyed.
 
-        The one eligibility chain of the module docstring: mode,
-        machine identity, purity (skipped under ``force``), signature,
-        memory.  ``extra`` is the launch configuration, trace request
-        included.
+        The one eligibility chain of the module docstring: machine
+        identity, purity, signature, memory.  ``extra`` is the launch
+        configuration, trace request included.
         """
-        mode = dispatch_mode()
-        if mode == "off":
-            return None
         identity = _machine_identity(machine)
-        forced = mode == "force"
-        if identity is None or \
-                (not forced and not lift.kernel_purity(fn)[0]):
+        if identity is None or not lift.kernel_purity(fn)[0]:
             _C_FALLBACK.add(1)
             return None
-        signer = _Signer(forced, self.memory_cap)
+        signer = _Signer(self.memory_cap)
         try:
             sig = signer.function(fn)
         except _Unsignable:

@@ -11,9 +11,10 @@ proves it statically:
   the interpreter's memory requests.  Cells and globals are admitted
   because the dispatcher freezes their current values into every key;
   annotations are ignored.
-* :func:`immutable_value`: which cell/global values strict mode may
+* :func:`immutable_value`: which cell/global values the dispatcher may
   freeze by value (deeply immutable ones, and read-only arrays, which
-  the dispatcher digests at every launch).
+  it digests at every launch); a kernel holding any other value falls
+  back to the interpreter.
 """
 
 from __future__ import annotations

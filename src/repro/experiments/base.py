@@ -227,6 +227,23 @@ def _measure_point(engine: MeasurementEngine, sweep: SweepResult,
     series.add(x, result)
 
 
+def _sweep_points(engine: MeasurementEngine, sweep: SweepResult,
+                  specs: dict[str, MeasurementSpec],
+                  points: list[tuple[float, object, str]]) -> SweepResult:
+    """Measure every spec at every ``(x, ctx, suffix)`` point, one series
+    per spec, labelling each point ``"<spec label>/<suffix>"`` (the label
+    seeds the point's RNG stream)."""
+    for label, spec in specs.items():
+        series = Series(label=label)
+        labels = [f"{label}/{suffix}" for _, _, suffix in points]
+        engine.prime(spec, labels)
+        for (x, ctx, _), point_label in zip(points, labels):
+            _measure_point(engine, sweep, series, spec, ctx, x,
+                           label=point_label)
+        sweep.series.append(series)
+    return sweep
+
+
 def omp_thread_counts(machine: CpuMachine) -> list[int]:
     """2 .. max hyperthreads (the paper omits 1: no sync needed serially)."""
     return list(range(2, machine.max_threads + 1))
@@ -246,15 +263,8 @@ def sweep_omp(machine: CpuMachine, specs: dict[str, MeasurementSpec], *,
     sweep = SweepResult(name=name, x_label="threads", unit=machine.time_unit,
                         metadata={"machine": machine.name,
                                   "affinity": affinity.value})
-    for label, spec in specs.items():
-        series = Series(label=label)
-        engine.prime(spec, [f"{label}/t={n}" for n in counts])
-        for n in counts:
-            ctx = machine.context(n, affinity)
-            _measure_point(engine, sweep, series, spec, ctx, n,
-                           label=f"{label}/t={n}")
-        sweep.series.append(series)
-    return sweep
+    return _sweep_points(engine, sweep, specs, [
+        (n, machine.context(n, affinity), f"t={n}") for n in counts])
 
 
 def sweep_multigpu(multi: "MultiGpu", specs: dict[str, MeasurementSpec], *,
@@ -278,15 +288,8 @@ def sweep_multigpu(multi: "MultiGpu", specs: dict[str, MeasurementSpec], *,
                                   "interconnect": multi.interconnect.name,
                                   "blocks": launch.grid_blocks,
                                   "block_threads": launch.block_threads})
-    for label, spec in specs.items():
-        series = Series(label=label)
-        engine.prime(spec, [f"{label}/d={d}" for d in device_counts])
-        for d in device_counts:
-            ctx = multi.context(d, launch)
-            _measure_point(engine, sweep, series, spec, ctx, d,
-                           label=f"{label}/d={d}")
-        sweep.series.append(series)
-    return sweep
+    return _sweep_points(engine, sweep, specs, [
+        (d, multi.context(d, launch), f"d={d}") for d in device_counts])
 
 
 def sweep_cuda(device: GpuDevice, specs: dict[str, MeasurementSpec], *,
@@ -304,12 +307,6 @@ def sweep_cuda(device: GpuDevice, specs: dict[str, MeasurementSpec], *,
                         unit=device.time_unit,
                         metadata={"device": device.name,
                                   "blocks": block_count})
-    for label, spec in specs.items():
-        series = Series(label=label)
-        engine.prime(spec, [f"{label}/b={block_count}/t={n}" for n in counts])
-        for n in counts:
-            ctx = device.context(LaunchConfig(block_count, n))
-            _measure_point(engine, sweep, series, spec, ctx, n,
-                           label=f"{label}/b={block_count}/t={n}")
-        sweep.series.append(series)
-    return sweep
+    return _sweep_points(engine, sweep, specs, [
+        (n, device.context(LaunchConfig(block_count, n)),
+         f"b={block_count}/t={n}") for n in counts])

@@ -26,7 +26,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -279,12 +279,6 @@ def campaign_fingerprint(scenario: FaultScenario | None,
 ResultHook = Callable[
     [str, ExperimentDef, list[SweepResult], list, float], None]
 
-#: Exception types ``keep_going`` shields (benchmark-level errors); any
-#: other exception aborts the campaign even in keep-going mode.  Now
-#: defined by the shared policy layer; kept under the historical name.
-_BENIGN_EXCEPTIONS = BENIGN_EXCEPTIONS
-
-
 def _campaign_worker(exp_id: str,
                      protocol: MeasurementProtocol | None,
                      scenario: FaultScenario | None) -> dict:
@@ -307,19 +301,10 @@ def _campaign_worker(exp_id: str,
         return {"exp_id": exp_id, "status": "failed",
                 "wall": time.time() - start,
                 "error": type(exc).__name__, "message": str(exc),
-                "benign": isinstance(exc, _BENIGN_EXCEPTIONS)}
+                "benign": isinstance(exc, BENIGN_EXCEPTIONS)}
     return {"exp_id": exp_id, "status": "done",
             "wall": time.time() - start,
             "sweeps": sweeps, "checks": checks}
-
-
-#: Reconstruction of a worker-side exception by name, so a ``jobs > 1``
-#: campaign aborts with the same exception type (and exit code) a
-#: serial one would raise.  The implementation lives in the shared
-#: policy layer and round-trips the *whole* taxonomy — unknown names
-#: become synthesized :class:`CampaignError` subclasses that keep the
-#: original class name instead of collapsing lossily.
-_rebuild_exception = rebuild_exception
 
 
 def run_campaign(ids: list[str], *,
@@ -409,7 +394,7 @@ def run_campaign(ids: list[str], *,
                     checkpoint.record(outcome)
                 if not keep_going:
                     raise
-                if not isinstance(exc, _BENIGN_EXCEPTIONS):
+                if not isinstance(exc, BENIGN_EXCEPTIONS):
                     raise  # keep-going shields benchmark errors only
                 log(f"FAILED {exp_id}: {type(exc).__name__}: {exc}")
                 continue
@@ -505,8 +490,8 @@ def _run_campaign_parallel(ids: list[str], *,
                 if checkpoint is not None:
                     checkpoint.record(outcome)
                 if not keep_going or not record["benign"]:
-                    abort = _rebuild_exception(record["error"],
-                                               record["message"])
+                    abort = rebuild_exception(record["error"],
+                                              record["message"])
                     for pending in futures:
                         pending.cancel()
                     break

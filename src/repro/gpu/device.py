@@ -37,25 +37,55 @@ class GpuRunContext(RunContext):
     occ: OccupancyResult
 
 
-def exponential_pair_sampler(noisy_b: bool, noisy_t: bool, scale: float):
-    """A binder ``bind(rng) -> sample()`` for a baseline/test pair whose
-    noisy bodies draw one exponential of ``scale`` each (in body order)
-    and whose quiet bodies draw nothing: stream-identical to the two
-    ``run_noise`` calls of a GPU machine."""
+class OffDeviceNoise:
+    """The timing noise of a GPU machine, declared once.
 
-    def bind(rng: np.random.Generator):
-        exponential = rng.exponential
+    The GPU cycle counter is deterministic (§IV), so a run is exact
+    unless its body holds an op whose traffic leaves the device; such a
+    run draws one exponential of ``_NOISE_CYCLES``.  A machine names
+    those ops with its ``_noisy(body)`` predicate and sets the scale.
+    """
 
-        def sample() -> tuple[float, float]:
-            return (float(exponential(scale)) if noisy_b else 0.0,
-                    float(exponential(scale)) if noisy_t else 0.0)
+    #: Per-op noise scale (cycles) of a noisy body.
+    _NOISE_CYCLES: float
 
-        return sample
+    @staticmethod
+    def _noisy(body: tuple[Op, ...]) -> bool:
+        raise NotImplementedError
 
-    return bind
+    def run_noise(self, rng: np.random.Generator, ctx: RunContext,
+                  body: tuple[Op, ...] = (),
+                  base_cost: float = 0.0) -> float:
+        """Per-op noise (cycles) for one run of ``body``."""
+        del ctx, base_cost
+        if self._noisy(body):
+            return float(rng.exponential(self._NOISE_CYCLES))
+        return 0.0
+
+    def _sampler(self, ctx: RunContext,
+                 bodies: tuple[tuple[Op, ...], tuple[Op, ...]],
+                 base_costs: tuple[float, float]):
+        # Noisy bodies draw in body order and quiet ones draw nothing:
+        # stream-identical to the pair's two run_noise calls.
+        noisy_b, noisy_t = map(self._noisy, bodies)
+        scale = self._NOISE_CYCLES
+
+        def bind(rng: np.random.Generator):
+            exponential = rng.exponential
+
+            def sample() -> tuple[float, float]:
+                return (float(exponential(scale)) if noisy_b else 0.0,
+                        float(exponential(scale)) if noisy_t else 0.0)
+
+            return sample
+
+        return bind
+
+    def _silent(self, body: tuple[Op, ...]) -> bool:
+        return not self._noisy(body)
 
 
-class GpuDevice(Machine):
+class GpuDevice(OffDeviceNoise, Machine):
     """A simulated NVIDIA GPU (one of Table I's devices, or custom).
 
     Contexts are ``context(launch)``.
@@ -75,7 +105,7 @@ class GpuDevice(Machine):
     cold_start_cost = 25_000.0
 
     #: Per-op noise (cycles) on system-scope fences from PCIe traffic.
-    _PCIE_NOISE_CYCLES = 40.0
+    _NOISE_CYCLES = 40.0
 
     def __init__(self, spec: GpuSpec, params: GpuCostParams | None = None,
                  atomics: AtomicUnitModel | None = None) -> None:
@@ -127,33 +157,13 @@ class GpuDevice(Machine):
             ctx._cost_cache[key] = cached
         return cached
 
-    def run_noise(self, rng: np.random.Generator, ctx: GpuRunContext,
-                  body: tuple[Op, ...] = (),
-                  base_cost: float = 0.0) -> float:
-        """Per-op noise (cycles) for one run.
-
-        Zero for on-device primitives (deterministic cycle counter); erratic
-        for bodies containing a system-scope fence (Section V-B3: "the
-        behavior is more erratic since it involves communication with the
-        CPU across the PCIe bus").
-        """
-        del ctx, base_cost
-        if any(op.kind is PrimitiveKind.THREADFENCE_SYSTEM for op in body):
-            return float(rng.exponential(self._PCIE_NOISE_CYCLES))
-        return 0.0
-
-    def _sampler(self, ctx: GpuRunContext,
-                 bodies: tuple[tuple[Op, ...], tuple[Op, ...]],
-                 base_costs: tuple[float, float]):
-        noisy_b, noisy_t = (
-            any(op.kind is PrimitiveKind.THREADFENCE_SYSTEM for op in body)
-            for body in bodies)
-        return exponential_pair_sampler(noisy_b, noisy_t,
-                                        self._PCIE_NOISE_CYCLES)
-
-    def _silent(self, body: tuple[Op, ...]) -> bool:
-        return not any(op.kind is PrimitiveKind.THREADFENCE_SYSTEM
-                       for op in body)
+    @staticmethod
+    def _noisy(body: tuple[Op, ...]) -> bool:
+        """True for a body holding a system-scope fence (Section V-B3:
+        "the behavior is more erratic since it involves communication
+        with the CPU across the PCIe bus")."""
+        return any(op.kind is PrimitiveKind.THREADFENCE_SYSTEM
+                   for op in body)
 
     def throughput(self, per_op_time: float) -> float:
         """Per-thread ops/s from per-op cycles (1 / cycles / clock period)."""

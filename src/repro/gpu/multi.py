@@ -29,13 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.common.errors import ConfigurationError
 from repro.common.machine import Machine, RunContext
 from repro.common.units import throughput_from_cycles
 from repro.compiler.ops import ATOMIC_KINDS, Op, PrimitiveKind, Scope
-from repro.gpu.device import GpuDevice, exponential_pair_sampler
+from repro.gpu.device import GpuDevice, OffDeviceNoise
 from repro.gpu.interconnect import NVLINK3, InterconnectModel
 from repro.gpu.occupancy import OccupancyResult
 from repro.gpu.spec import LaunchConfig
@@ -57,20 +55,7 @@ class MultiGpuRunContext(RunContext):
     occ: OccupancyResult
 
 
-def _body_is_linked(body: tuple[Op, ...]) -> bool:
-    """True when the body contains an op whose traffic leaves the device
-    (the only source of timing noise on a multi-GPU rig)."""
-    for op in body:
-        if op.kind is PrimitiveKind.THREADFENCE_SYSTEM:
-            return True
-        if op.kind is PrimitiveKind.MULTI_GRID_SYNC:
-            return True
-        if op.kind in ATOMIC_KINDS and op.scope is Scope.SYSTEM:
-            return True
-    return False
-
-
-class MultiGpu(Machine):
+class MultiGpu(OffDeviceNoise, Machine):
     """``n`` copies of one GPU preset joined by an interconnect.
 
     Not a :class:`GpuDevice` subclass on purpose: its identity is the
@@ -91,7 +76,7 @@ class MultiGpu(Machine):
 
     #: Per-op noise scale (cycles) for bodies whose traffic crosses the
     #: link; matches the single-device PCIe fence noise.
-    _LINK_NOISE_CYCLES = 40.0
+    _NOISE_CYCLES = 40.0
 
     def __init__(self, device: GpuDevice,
                  interconnect: InterconnectModel = NVLINK3,
@@ -162,26 +147,14 @@ class MultiGpu(Machine):
             return base + link.latency_cycles * (d - 1)
         return model.op_cost_cycles(op, ctx.launch, ctx.occ)
 
-    # ------------------------------- noise ------------------------------ #
-
-    def run_noise(self, rng: np.random.Generator, ctx: MultiGpuRunContext,
-                  body: tuple[Op, ...] = (),
-                  base_cost: float = 0.0) -> float:
-        """Exponential link noise for bodies that leave the device."""
-        del ctx, base_cost
-        if _body_is_linked(body):
-            return float(rng.exponential(self._LINK_NOISE_CYCLES))
-        return 0.0
-
-    def _sampler(self, ctx: MultiGpuRunContext,
-                 bodies: tuple[tuple[Op, ...], tuple[Op, ...]],
-                 base_costs: tuple[float, float]):
-        noisy_b, noisy_t = (_body_is_linked(body) for body in bodies)
-        return exponential_pair_sampler(noisy_b, noisy_t,
-                                        self._LINK_NOISE_CYCLES)
-
-    def _silent(self, body: tuple[Op, ...]) -> bool:
-        return not _body_is_linked(body)
+    @staticmethod
+    def _noisy(body: tuple[Op, ...]) -> bool:
+        """True when the body contains an op whose traffic leaves the
+        device (the only source of timing noise on a multi-GPU rig)."""
+        return any(op.kind is PrimitiveKind.THREADFENCE_SYSTEM
+                   or op.kind is PrimitiveKind.MULTI_GRID_SYNC
+                   or (op.kind in ATOMIC_KINDS and op.scope is Scope.SYSTEM)
+                   for op in body)
 
     def throughput(self, per_op_time: float) -> float:
         """Per-thread ops/s from per-op cycles at the device clock."""

@@ -14,6 +14,12 @@ are emitted only at top level, thread-dependent branches only wrap
 non-collective ops, loops have uniform trip counts, and lock
 acquisitions are emitted as properly nested pairs in a fixed global
 order.
+
+Every CUDA and OpenMP program is one flat generator over an immutable
+tuple program, with no helper calls and no attribute access outside
+its thread context, so it passes the purity proof and signs like any
+user kernel: the replay cases drive the very keying chain a user
+launch takes, and ``fast=False`` is their oracle.
 """
 
 from __future__ import annotations
@@ -21,16 +27,14 @@ from __future__ import annotations
 import dataclasses
 import random
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.common.errors import DataRaceError
-from repro.compiler.dispatcher import (
-    DISPATCHER, dispatch_disabled, dispatch_forced,
-)
+from repro.compiler.dispatcher import DISPATCHER
 from repro.cpu.machine import CpuMachine
+from repro.cuda import requests as rq
 from repro.cuda.interpreter import Cuda
 from repro.gpu.device import GpuDevice
 from repro.gpu.spec import LaunchConfig
@@ -44,14 +48,40 @@ N_PROGRAMS = 50
 
 # --------------------------- CUDA programs --------------------------- #
 
+#: Collectives are drawn three times as often as other ops, so the
+#: corpus issues each of the ten at least three times.
 _CUDA_OPS = ("alu", "gread", "gwrite", "swrite", "sread", "atomic",
-             "sync", "syncwarp", "collective")
+             "sync", "syncwarp", *("collective",) * 3)
 #: Ops safe under thread-dependent control flow (no block barriers, no
 #: warp collectives — exactly the sanitizer's divergence rule).
 _CUDA_BRANCH_SAFE = ("alu", "gread", "gwrite", "swrite", "sread",
                      "atomic")
 _ATOMIC_KINDS = ("atomic_add", "atomic_max", "atomic_min", "atomic_or",
                  "atomic_xor", "atomic_exch")
+#: Every warp collective the kernel op names issue, by request class.
+_COLLECTIVES = {
+    "shfl": rq.ShflSync, "shfl_up": rq.ShflUpSync,
+    "shfl_down": rq.ShflDownSync, "shfl_xor": rq.ShflXorSync,
+    "all": rq.VoteAll, "any": rq.VoteAny, "ballot": rq.Ballot,
+    "match_any": rq.MatchAnySync, "match_all": rq.MatchAllSync,
+    "reduce_max": rq.ReduceMaxSync,
+}
+
+
+def _collective_arg(rng, name):
+    """The collective's one parameter: a source lane, a delta, a lane
+    mask, or the modulus its predicate or match value takes of the
+    accumulator (modulus 1 makes every lane's ``match_all`` value
+    equal)."""
+    if name == "shfl":
+        return rng.randint(0, 31)
+    if name in ("shfl_up", "shfl_down"):
+        return rng.randint(1, 4)
+    if name == "shfl_xor":
+        return rng.choice((1, 2, 4, 8, 16))
+    if name == "match_all":
+        return rng.choice((1, 2))
+    return rng.randint(2, 4)
 
 
 def _gen_cuda_ops(rng, depth=0):
@@ -70,15 +100,15 @@ def _gen_cuda_ops(rng, depth=0):
             ops.append((kind, rng.choice(("tid", "rot")),
                         rng.randint(1, 5)))
         elif kind == "atomic":
-            ops.append(("atomic", rng.choice(_ATOMIC_KINDS),
+            ops.append((rng.choice(_ATOMIC_KINDS),
                         rng.randint(0, 7), rng.randint(1, 3)))
         elif kind == "sync":
             ops.append(("sync",))
         elif kind == "syncwarp":
             ops.append(("syncwarp",))
         elif kind == "collective":
-            ops.append(("collective",
-                        rng.choice(("ballot", "all", "shfl"))))
+            name = rng.choice(tuple(_COLLECTIVES))
+            ops.append((name, _collective_arg(rng, name)))
         if depth == 0 and rng.random() < 0.3:
             body = _gen_cuda_ops(rng, depth + 1)
             if rng.random() < 0.5:
@@ -88,74 +118,98 @@ def _gen_cuda_ops(rng, depth=0):
     return ops
 
 
-def _make_cuda_kernel(program):
-    """Build a closure kernel replaying one descriptor list."""
+def _flat_cuda_program(ops, mod=1):
+    """Flatten descriptors into a tuple of ``(mod, kind, a, b, c)`` ops.
 
-    def run_op(t, op, acc):
-        kind = op[0]
-        if kind == "alu":
-            yield t.alu(op[1])
-        elif kind == "gread":
-            idx = _gindex(t, op[2], op[3])
-            v = yield t.global_read(op[1], idx)
-            acc[0] = (acc[0] + int(v)) % 1009
-        elif kind == "gwrite":
-            idx = _gindex(t, op[2], op[3])
-            yield t.global_write(op[1], idx, acc[0] + op[3])
-        elif kind == "swrite":
-            idx = _sindex(t, op[1])
-            yield t.shared_write("buf", idx, acc[0] + op[2])
-        elif kind == "sread":
-            idx = _sindex(t, op[1])
-            v = yield t.shared_read("buf", idx)
-            acc[0] = (acc[0] + int(v)) % 1009
-        elif kind == "atomic":
-            _, name, slot, val = op
-            v = yield getattr(t, name)("acc", slot, acc[0] % 5 + val)
-            acc[0] = (acc[0] + int(v)) % 1009
-        elif kind == "sync":
-            yield t.syncthreads()
-        elif kind == "syncwarp":
-            yield t.syncwarp()
-        elif kind == "collective":
-            if op[1] == "ballot":
-                v = yield t.ballot_sync(acc[0] % 2 == 0)
-            elif op[1] == "all":
-                v = yield t.all_sync(acc[0] % 3 != 0)
-            else:
-                v = yield t.shfl_down_sync(acc[0], 1)
-            acc[0] = (acc[0] + int(v)) % 1009
+    An op runs on the threads whose global id is a multiple of ``mod``
+    (1: every thread): a branch guards its body with its modulus, and a
+    loop, whose trip count is uniform, is unrolled.  The request stream
+    is the nested program's, op for op.
+    """
+    flat = []
+    for op in ops:
+        if op[0] == "branch":
+            flat += _flat_cuda_program(op[2], op[1])
+        elif op[0] == "loop":
+            flat += _flat_cuda_program(op[2], mod) * op[1]
+        else:
+            flat.append((mod, *op, 0, 0, 0)[:5])
+    return tuple(flat)
+
+
+def _make_cuda_kernel(program):
+    """One flat generator over a flat program: it calls no helper and
+    reads only its thread context and the immutable ``program`` cell,
+    so the dispatcher keys it exactly as it keys a user kernel."""
 
     def kernel(t):
-        acc = [t.global_id % 7]
-        for op in program:
-            if op[0] == "branch":
-                if t.global_id % op[1] == 0:
-                    for sub in op[2]:
-                        yield from run_op(t, sub, acc)
-            elif op[0] == "loop":
-                for _ in range(op[1]):
-                    for sub in op[2]:
-                        yield from run_op(t, sub, acc)
-            else:
-                yield from run_op(t, op, acc)
-        yield t.global_write("out", t.global_id, acc[0])
+        acc = t.global_id % 7
+        for mod, kind, a, b, c in program:
+            if t.global_id % mod:
+                continue
+            v = 0
+            if kind == "alu":
+                yield t.alu(a)
+            elif kind in ("gread", "gwrite"):
+                if b == "tid":
+                    idx = t.global_id
+                elif b == "rev":
+                    idx = t.total_threads - 1 - t.global_id
+                else:
+                    idx = c
+                if kind == "gread":
+                    v = yield t.global_read(a, idx)
+                else:
+                    yield t.global_write(a, idx, acc + c)
+            elif kind in ("swrite", "sread"):
+                if a == "tid":
+                    idx = t.threadIdx
+                else:
+                    idx = (t.threadIdx + 1) % t.blockDim
+                if kind == "sread":
+                    v = yield t.shared_read("buf", idx)
+                else:
+                    yield t.shared_write("buf", idx, acc + b)
+            elif kind == "atomic_add":
+                v = yield t.atomic_add("acc", a, acc % 5 + b)
+            elif kind == "atomic_max":
+                v = yield t.atomic_max("acc", a, acc % 5 + b)
+            elif kind == "atomic_min":
+                v = yield t.atomic_min("acc", a, acc % 5 + b)
+            elif kind == "atomic_or":
+                v = yield t.atomic_or("acc", a, acc % 5 + b)
+            elif kind == "atomic_xor":
+                v = yield t.atomic_xor("acc", a, acc % 5 + b)
+            elif kind == "atomic_exch":
+                v = yield t.atomic_exch("acc", a, acc % 5 + b)
+            elif kind == "sync":
+                yield t.syncthreads()
+            elif kind == "syncwarp":
+                yield t.syncwarp()
+            elif kind == "shfl":
+                v = yield t.shfl_sync(acc, a)
+            elif kind == "shfl_up":
+                v = yield t.shfl_up_sync(acc, a)
+            elif kind == "shfl_down":
+                v = yield t.shfl_down_sync(acc, a)
+            elif kind == "shfl_xor":
+                v = yield t.shfl_xor_sync(acc, a)
+            elif kind == "all":
+                v = yield t.all_sync(acc % a != 0)
+            elif kind == "any":
+                v = yield t.any_sync(acc % a == 0)
+            elif kind == "ballot":
+                v = yield t.ballot_sync(acc % a == 0)
+            elif kind == "match_any":
+                v = yield t.match_any_sync(acc % a)
+            elif kind == "match_all":
+                v = yield t.match_all_sync(acc % a)
+            elif kind == "reduce_max":
+                v = yield t.reduce_max_sync(acc)
+            acc = (acc + int(v)) % 1009
+        yield t.global_write("out", t.global_id, acc)
 
     return kernel
-
-
-def _gindex(t, mode, k):
-    if mode == "tid":
-        return t.global_id
-    if mode == "rev":
-        return t.total_threads - 1 - t.global_id
-    return k
-
-
-def _sindex(t, mode):
-    if mode == "tid":
-        return t.threadIdx
-    return (t.threadIdx + 1) % t.blockDim
 
 
 def _run_cuda(device, program, grid, block, fast, trace=False):
@@ -171,14 +225,29 @@ def _run_cuda(device, program, grid, block, fast, trace=False):
         shared_decls={"buf": (block, np.dtype(np.int64))}, trace=trace)
 
 
+def _cuda_case(seed):
+    rng = random.Random(1000 + seed)
+    program = _flat_cuda_program(_gen_cuda_ops(rng))
+    return program, rng.choice((1, 2)), rng.choice((32, 64))
+
+
+def test_cuda_corpus_covers_every_collective():
+    """The vocabulary names every warp-collective request class, and
+    the fixed corpus issues each of them at least once."""
+    assert set(_COLLECTIVES.values()) == \
+        set(rq.WarpCollective.__subclasses__())
+    issued = {op[1] for seed in range(N_PROGRAMS)
+              for op in _cuda_case(seed)[0]}
+    assert set(_COLLECTIVES) <= issued, set(_COLLECTIVES) - issued
+
+
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
 def test_cuda_fast_path_matches_reference(mini_gpu, seed):
     """Traced, so the per-pass cost and label each executor returns are
-    compared pass by pass, not only their block totals."""
-    rng = random.Random(1000 + seed)
-    program = _gen_cuda_ops(rng)
-    grid = rng.choice((1, 2))
-    block = rng.choice((32, 64))
+    compared pass by pass, not only their block totals.  The replay
+    cache starts empty, so the fast launch runs the batched tier."""
+    program, grid, block = _cuda_case(seed)
+    DISPATCHER.clear()
     fast = _run_cuda(mini_gpu, program, grid, block, fast=True, trace=True)
     ref = _run_cuda(mini_gpu, program, grid, block, fast=False, trace=True)
     assert fast.elapsed_cycles == ref.elapsed_cycles, f"seed {seed}"
@@ -191,32 +260,44 @@ def test_cuda_fast_path_matches_reference(mini_gpu, seed):
             ref.memory[name].tobytes(), f"seed {seed}: {name}"
 
 
+_DISPATCH = ("dispatch.hit", "dispatch.miss", "dispatch.fallback")
+
+
+def _replay_sequence(run, seed):
+    """``run(trace)`` cold then warm, untraced then traced, from an empty
+    replay cache; returns the four results by label.
+
+    Each cold run must move ``dispatch.miss`` alone and each warm run
+    ``dispatch.hit`` alone: the program passes the purity proof and
+    signs (no ``dispatch.fallback``), and the untraced entry never
+    serves the traced cold run, which records the timeline its own warm
+    rerun replays.
+    """
+    DISPATCHER.clear()  # another seed may generate the same program
+    results = {}
+    for label, trace in (("cold", False), ("warm", False),
+                         ("traced cold", True), ("traced warm", True)):
+        before = [counter_value(name) for name in _DISPATCH]
+        results[label] = run(trace)
+        moved = {name: counter_value(name) - b
+                 for name, b in zip(_DISPATCH, before)}
+        want = "dispatch.hit" if label.endswith("warm") else "dispatch.miss"
+        assert moved == {name: int(name == want) for name in _DISPATCH}, \
+            f"seed {seed} ({label}): {moved}"
+    return results
+
+
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
 def test_cuda_dispatcher_forced_matches_reference(mini_gpu, seed):
-    """The JIT dispatch tiers (keyed in ``force`` mode, so even these
-    closure-heavy generated kernels are eligible) must stay
-    byte-identical to the reference — both on the cold launch that
-    records/compiles and on the warm launch that replays.  A traced
-    pair follows the untraced one: the untraced entry must not serve
-    the traced relaunch, which records the full timeline its own warm
-    relaunch replays."""
-    rng = random.Random(1000 + seed)
-    program = _gen_cuda_ops(rng)
-    grid = rng.choice((1, 2))
-    block = rng.choice((32, 64))
+    """Content replay must stay byte-identical to the reference, both on
+    the cold launch that records and on the warm launch that replays,
+    untraced and traced (:func:`_replay_sequence`)."""
+    program, grid, block = _cuda_case(seed)
     ref = _run_cuda(mini_gpu, program, grid, block, fast=False,
                     trace=True)
-    results = {}
-    DISPATCHER.clear()  # another seed may generate the same program
-    with dispatch_forced():
-        for label, trace in (("cold", False), ("warm", False),
-                             ("traced cold", True), ("traced warm", True)):
-            hits = counter_value("dispatch.hit")
-            results[label] = _run_cuda(mini_gpu, program, grid, block,
-                                       fast=True, trace=trace)
-            replayed = counter_value("dispatch.hit") > hits
-            assert replayed == label.endswith("warm"), \
-                f"seed {seed} ({label}): replayed={replayed}"
+    results = _replay_sequence(
+        lambda trace: _run_cuda(mini_gpu, program, grid, block, fast=True,
+                                trace=trace), seed)
     for label, result in results.items():
         if result.trace is not None:
             assert result.trace.events == ref.trace.events, \
@@ -332,9 +413,10 @@ def _run_mg(runtime, kernel, grid, block, n_total):
 @pytest.mark.parametrize("seed", range(N_MG_PROGRAMS))
 def test_multigpu_replay_matches_reference(mini_gpu, seed):
     """Cooperative/system-scope programs launched twice on one runtime
-    (dispatch forced) must be byte-identical to a fresh runtime with
-    dispatch disabled, and the relaunch must run every round itself
-    (``multigpu.rounds`` tripwire: no memo may answer it)."""
+    must be byte-identical to a fresh runtime, and the relaunch must run
+    every round itself (``multigpu.rounds`` tripwire: multi-device
+    launches never consult the dispatcher, and no memo may answer
+    them)."""
     from repro.cuda.multigpu import MultiCuda
     from repro.gpu.multi import MultiGpu
 
@@ -348,16 +430,14 @@ def test_multigpu_replay_matches_reference(mini_gpu, seed):
     multi = MultiGpu(mini_gpu)
 
     runtime = MultiCuda(multi, n_devices=n_devices)
-    with dispatch_forced():
-        cold = _run_mg(runtime, kernel, grid, block, n_total)
-        rounds = counter_value("multigpu.rounds")
-        warm = _run_mg(runtime, kernel, grid, block, n_total)
+    cold = _run_mg(runtime, kernel, grid, block, n_total)
+    rounds = counter_value("multigpu.rounds")
+    warm = _run_mg(runtime, kernel, grid, block, n_total)
     assert counter_value("multigpu.rounds") - rounds \
         == warm.stats.rounds > 0, \
         f"seed {seed}: relaunch did not run its rounds"
-    with dispatch_disabled():
-        ref = _run_mg(MultiCuda(multi, n_devices=n_devices), kernel, grid,
-                      block, n_total)
+    ref = _run_mg(MultiCuda(multi, n_devices=n_devices), kernel, grid,
+                  block, n_total)
     for label, result in (("cold", cold), ("warm", warm)):
         assert result.elapsed_cycles == ref.elapsed_cycles, \
             f"seed {seed} ({label})"
@@ -385,6 +465,9 @@ _OMP_OPS = ("read", "write", "atomic_update", "atomic_write",
 
 
 def _gen_omp_ops(rng):
+    """A flat program of ``(kind, a, b, c)`` ops.  A lock is a properly
+    nested acquire/release pair around a few plain accesses, always on
+    the same lock name: imbalance- and cycle-free."""
     ops = []
     for _ in range(rng.randint(3, 8)):
         kind = rng.choice(_OMP_OPS)
@@ -392,61 +475,58 @@ def _gen_omp_ops(rng):
             ops.append((kind, rng.choice(("a", "b")),
                         rng.choice(("tid", "const")), rng.randint(0, 7)))
         elif kind in ("atomic_update", "atomic_write", "atomic_capture"):
-            ops.append((kind, rng.randint(0, 3), rng.randint(1, 4)))
+            ops.append((kind, rng.randint(0, 3), rng.randint(1, 4), 0))
         elif kind in ("flush", "barrier", "critical"):
-            ops.append((kind,))
+            ops.append((kind, 0, 0, 0))
         elif kind == "lock":
-            # Properly nested pair around a few plain accesses, always
-            # the same lock name: imbalance- and cycle-free.
             inner = [("read", "a", "tid", 0),
                      ("write", "a", "tid", rng.randint(1, 4))]
-            ops.append(("lock", inner[:rng.randint(1, 2)]))
-    return ops
+            ops += [("lock_acquire", 0, 0, 0),
+                    *inner[:rng.randint(1, 2)],
+                    ("lock_release", 0, 0, 0)]
+    return tuple(ops)
 
 
 def _make_omp_body(program):
-    def run_op(tc, op, acc):
-        kind = op[0]
-        if kind == "read":
-            idx = tc.tid if op[2] == "tid" else op[3]
-            v = yield tc.read(op[1], idx)
-            acc[0] = (acc[0] + int(v)) % 1009
-        elif kind == "write":
-            idx = tc.tid if op[2] == "tid" else op[3]
-            # Constant-index plain writes from all threads are the
-            # sanitizer's static-race class; keep them thread-private.
-            idx = tc.tid if op[2] == "const" else idx
-            yield tc.write(op[1], idx, acc[0] + op[3])
-        elif kind == "atomic_update":
-            _, slot, val = op
-            yield tc.atomic_update("acc", slot, lambda v: v + val)
-        elif kind == "atomic_write":
-            _, slot, val = op
-            yield tc.atomic_write("acc", slot, acc[0] % 7 + val)
-        elif kind == "atomic_capture":
-            _, slot, val = op
-            old = yield tc.atomic_capture("acc", slot,
-                                          lambda v: v + val)
-            acc[0] = (acc[0] + int(old)) % 1009
-        elif kind == "flush":
-            yield tc.flush()
-        elif kind == "barrier":
-            yield tc.barrier()
-        elif kind == "critical":
-            yield tc.critical(
-                lambda mem: mem["c"].__setitem__(0, mem["c"][0] + 1),
-                touches=(("c", 0, True),))
-        elif kind == "lock":
-            yield tc.lock_acquire("l")
-            for sub in op[1]:
-                yield from run_op(tc, sub, acc)
-            yield tc.lock_release("l")
+    """The OpenMP twin of :func:`_make_cuda_kernel`.
+
+    A lambda's one way to store is a comprehension target, so the
+    critical section increments ``c[0]`` as one: the purity proof
+    admits no attribute call such as ``__setitem__``.
+    """
 
     def body(tc):
-        acc = [tc.tid + 1]
-        for op in program:
-            yield from run_op(tc, op, acc)
-        yield tc.atomic_write("out", tc.tid, acc[0])
+        acc = tc.tid + 1
+        for kind, a, b, c in program:
+            v = 0
+            if kind == "read":
+                v = yield tc.read(a, tc.tid if b == "tid" else c)
+            elif kind == "write":
+                # Constant-index plain writes from all threads are the
+                # sanitizer's static-race class; keep them
+                # thread-private.
+                yield tc.write(a, tc.tid, acc + c)
+            elif kind == "atomic_update":
+                yield tc.atomic_update("acc", a, lambda x, d=b: x + d)
+            elif kind == "atomic_write":
+                yield tc.atomic_write("acc", a, acc % 7 + b)
+            elif kind == "atomic_capture":
+                v = yield tc.atomic_capture("acc", a,
+                                            lambda x, d=b: x + d)
+            elif kind == "flush":
+                yield tc.flush()
+            elif kind == "barrier":
+                yield tc.barrier()
+            elif kind == "critical":
+                yield tc.critical(
+                    lambda mem: [0 for mem["c"][0] in [mem["c"][0] + 1]],
+                    touches=(("c", 0, True),))
+            elif kind == "lock_acquire":
+                yield tc.lock_acquire("l")
+            elif kind == "lock_release":
+                yield tc.lock_release("l")
+            acc = (acc + int(v)) % 1009
+        yield tc.atomic_write("out", tc.tid, acc)
 
     return body
 
@@ -465,15 +545,20 @@ def _run_omp(machine, program, n_threads, fast, trace=False):
         trace=trace)
 
 
+def _omp_case(seed):
+    rng = random.Random(2000 + seed)
+    program = _gen_omp_ops(rng)
+    return program, rng.choice((2, 4))
+
+
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
 def test_openmp_fast_path_matches_reference(quiet_cpu, seed):
     """Traced, so the cost and label each uniform-round handler charges
     per request are compared event by event against the per-request
-    oracle (these closure-heavy bodies are unsignable outside
-    ``dispatch_forced``, so the fast region runs the interpreter)."""
-    rng = random.Random(2000 + seed)
-    program = _gen_omp_ops(rng)
-    n_threads = rng.choice((2, 4))
+    oracle.  The replay cache starts empty, so the fast region runs the
+    batched tier."""
+    program, n_threads = _omp_case(seed)
+    DISPATCHER.clear()
     fast = _run_omp(quiet_cpu, program, n_threads, fast=True, trace=True)
     ref = _run_omp(quiet_cpu, program, n_threads, fast=False, trace=True)
     assert fast.elapsed_ns == ref.elapsed_ns, f"seed {seed}"
@@ -489,25 +574,13 @@ def test_openmp_fast_path_matches_reference(quiet_cpu, seed):
 
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
 def test_openmp_dispatcher_forced_matches_reference(quiet_cpu, seed):
-    """Region replay (forced keying) must be byte-identical to the
-    reference scheduler, cold and warm, untraced and then traced: the
-    untraced entry must not serve the traced rerun, which records the
-    full timeline its own warm rerun replays."""
-    rng = random.Random(2000 + seed)
-    program = _gen_omp_ops(rng)
-    n_threads = rng.choice((2, 4))
+    """Region replay must be byte-identical to the reference scheduler,
+    cold and warm, untraced and then traced (:func:`_replay_sequence`)."""
+    program, n_threads = _omp_case(seed)
     ref = _run_omp(quiet_cpu, program, n_threads, fast=False, trace=True)
-    results = {}
-    DISPATCHER.clear()  # another seed may generate the same program
-    with dispatch_forced():
-        for label, trace in (("cold", False), ("warm", False),
-                             ("traced cold", True), ("traced warm", True)):
-            hits = counter_value("dispatch.hit")
-            results[label] = _run_omp(quiet_cpu, program, n_threads,
-                                      fast=True, trace=trace)
-            replayed = counter_value("dispatch.hit") > hits
-            assert replayed == label.endswith("warm"), \
-                f"seed {seed} ({label}): replayed={replayed}"
+    results = _replay_sequence(
+        lambda trace: _run_omp(quiet_cpu, program, n_threads, fast=True,
+                               trace=trace), seed)
     for label, result in results.items():
         if result.trace is not None:
             assert result.trace.events == ref.trace.events, \
@@ -536,11 +609,13 @@ _RACE_MODES = ("tid", "tid", "const", "shift", "master")
 
 
 def _gen_omp_race_ops(rng):
-    """A well-formed program whose plain reads and writes share indices
-    across threads, so many seeds race (unlike :func:`_gen_omp_ops`,
-    which keeps plain writes thread-private).  Barriers and singles stay
-    at top level and locks are nested pairs on one name, so every
-    program terminates; only its data-race verdict varies."""
+    """A well-formed flat program of ``(kind, var, mode, k)`` ops whose
+    plain reads and writes share indices across threads, so many seeds
+    race (unlike :func:`_gen_omp_ops`, which keeps plain writes
+    thread-private).  A single's ``mode`` is whether it writes.
+    Barriers and singles stay at top level and locks are nested pairs on
+    one name, so every program terminates; only its data-race verdict
+    varies."""
     ops = []
     for _ in range(rng.randint(3, 9)):
         kind = rng.choice(_RACE_OPS)
@@ -549,78 +624,73 @@ def _gen_omp_race_ops(rng):
                         rng.choice(_RACE_MODES), rng.randint(0, 3)))
         elif kind in ("atomic_update", "atomic_read"):
             # Atomics on the plain arrays: atomic-vs-plain pairs race.
-            ops.append((kind, rng.choice(("a", "acc")), rng.randint(0, 3)))
+            ops.append((kind, rng.choice(("a", "acc")), "",
+                        rng.randint(0, 3)))
         elif kind == "critical":
-            ops.append((kind, rng.choice(("a", "c")), rng.randint(0, 3)))
+            ops.append((kind, rng.choice(("a", "c")), "",
+                        rng.randint(0, 3)))
         elif kind == "single":
-            ops.append((kind, rng.choice(("a", "b", "c")),
-                        rng.randint(0, 3), rng.random() < 0.5))
+            var, k = rng.choice(("a", "b", "c")), rng.randint(0, 3)
+            ops.append((kind, var, rng.random() < 0.5, k))
         elif kind == "lock":
             inner = [(rng.choice(("read", "write")), rng.choice(("a", "b")),
                       rng.choice(_RACE_MODES), rng.randint(0, 3))
                      for _ in range(rng.randint(1, 3))]
-            ops.append(("lock", inner))
+            ops += [("lock_acquire", "", "", 0), *inner,
+                    ("lock_release", "", "", 0)]
         else:
-            ops.append((kind,))
-    return ops
-
-
-def _race_index(tc, mode, k):
-    if mode == "const":
-        return k
-    if mode == "shift":
-        return (tc.tid + k) % tc.n_threads
-    return tc.tid
+            ops.append((kind, "", "", 0))
+    return tuple(ops)
 
 
 def _make_omp_race_body(program):
-    def bump(var, k):
-        def func(mem):
-            flat = mem[var].reshape(-1)
-            flat[k] = flat[k] + 1
-        return func
-
-    def run_op(tc, op, acc):
-        kind = op[0]
-        if kind in ("read", "write"):
-            _, var, mode, k = op
-            if mode == "master" and tc.tid != 0:
-                return
-            idx = _race_index(tc, mode, k)
-            if kind == "read":
-                v = yield tc.read(var, idx)
-                acc[0] = (acc[0] + int(v)) % 1009
-            else:
-                yield tc.write(var, idx, acc[0] + k)
-        elif kind == "atomic_update":
-            _, var, k = op
-            yield tc.atomic_update(var, k, lambda v: v + 1)
-        elif kind == "atomic_read":
-            _, var, k = op
-            v = yield tc.atomic_read(var, k)
-            acc[0] = (acc[0] + int(v)) % 1009
-        elif kind == "critical":
-            _, var, k = op
-            yield tc.critical(bump(var, k), touches=((var, k, True),))
-        elif kind == "single":
-            _, var, k, is_write = op
-            yield tc.single(bump(var, k) if is_write else (lambda mem: 0),
-                            touches=((var, k, is_write),))
-        elif kind == "lock":
-            yield tc.lock_acquire("l")
-            for sub in op[1]:
-                yield from run_op(tc, sub, acc)
-            yield tc.lock_release("l")
-        elif kind == "flush":
-            yield tc.flush()
-        else:
-            yield tc.barrier()
+    """A flat region body over :func:`_gen_omp_race_ops`; a critical or
+    writing single increments ``var[k]`` through a comprehension
+    target, as :func:`_make_omp_body` explains."""
 
     def body(tc):
-        acc = [tc.tid + 1]
-        for op in program:
-            yield from run_op(tc, op, acc)
-        yield tc.atomic_write("out", tc.tid, acc[0])
+        acc = tc.tid + 1
+        for kind, var, mode, k in program:
+            v = 0
+            if kind in ("read", "write"):
+                if mode == "master" and tc.tid != 0:
+                    continue
+                if mode == "const":
+                    idx = k
+                elif mode == "shift":
+                    idx = (tc.tid + k) % tc.n_threads
+                else:
+                    idx = tc.tid
+                if kind == "read":
+                    v = yield tc.read(var, idx)
+                else:
+                    yield tc.write(var, idx, acc + k)
+            elif kind == "atomic_update":
+                yield tc.atomic_update(var, k, lambda x: x + 1)
+            elif kind == "atomic_read":
+                v = yield tc.atomic_read(var, k)
+            elif kind == "critical":
+                yield tc.critical(
+                    lambda mem, a=var, i=k: [0 for mem[a][i]
+                                             in [mem[a][i] + 1]],
+                    touches=((var, k, True),))
+            elif kind == "single" and mode:
+                yield tc.single(
+                    lambda mem, a=var, i=k: [0 for mem[a][i]
+                                             in [mem[a][i] + 1]],
+                    touches=((var, k, True),))
+            elif kind == "single":
+                yield tc.single(lambda mem: 0, touches=((var, k, False),))
+            elif kind == "lock_acquire":
+                yield tc.lock_acquire("l")
+            elif kind == "lock_release":
+                yield tc.lock_release("l")
+            elif kind == "flush":
+                yield tc.flush()
+            else:
+                yield tc.barrier()
+            acc = (acc + int(v)) % 1009
+        yield tc.atomic_write("out", tc.tid, acc)
 
     return body
 
@@ -640,14 +710,15 @@ def _race_case(seed):
             rng.random() < 0.75)
 
 
-def _run_race(machine, case, fast, collect):
+def _run_race(machine, case, fast, collect, detect=True):
     """One region; returns ``(result or None, DataRaceError message or
     None, shared memory bytes)``.  The memory is read even after a
     raise: both schedulers must leave the same partial state."""
     body, n_threads, relaxed = case
     shared = _race_shared(n_threads)
-    omp = OpenMP(machine, n_threads=n_threads, collect_races=collect,
-                 relaxed_consistency=relaxed, fast=fast)
+    omp = OpenMP(machine, n_threads=n_threads, detect_races=detect,
+                 collect_races=collect, relaxed_consistency=relaxed,
+                 fast=fast)
     try:
         result, error = omp.parallel(body, shared), None
     except DataRaceError as exc:
@@ -672,32 +743,45 @@ def _assert_results_equal(got, ref, label):
 def test_openmp_race_detection_matches_reference(quiet_cpu, seed):
     """The batched scheduler feeds the detector the reference's access
     stream: same races in collect mode, same first race (and partial
-    memory) in raise mode, and race-free regions replay identically."""
+    memory) in raise mode.  Replay follows the verdict: a race-free
+    collect run records and serves the raise-mode rerun, a racy one is
+    never recorded, and a race-blind entry never serves a detecting
+    rerun of identical input."""
     case = _race_case(seed)
     ref, _, ref_mem = _run_race(quiet_cpu, case, False, collect=True)
-    with dispatch_disabled():
-        fast, _, fast_mem = _run_race(quiet_cpu, case, True, collect=True)
+    DISPATCHER.clear()  # so the collect run takes the batched tier
+    misses = counter_value("dispatch.miss")
+    fast, _, fast_mem = _run_race(quiet_cpu, case, True, collect=True)
+    assert counter_value("dispatch.miss") - misses == 1, f"seed {seed}"
     _assert_results_equal(fast, ref, f"seed {seed} (collect)")
     assert fast_mem == ref_mem, f"seed {seed} (collect)"
 
     _, ref_err, ref_mem = _run_race(quiet_cpu, case, False, collect=False)
-    with dispatch_disabled():
-        _, fast_err, fast_mem = _run_race(quiet_cpu, case, True,
-                                          collect=False)
-    assert fast_err == ref_err, f"seed {seed} (raise)"
     assert (ref_err is None) == (not ref.races), f"seed {seed}"
-    assert fast_mem == ref_mem, f"seed {seed} (raise)"
+    # Raise mode three times: replayed from the collect run's entry, then
+    # from an empty cache (the batched tier), then replayed from that.
+    for label, cold in (("raise, after collect", False),
+                        ("raise, cold", True), ("raise, warm", False)):
+        if cold:
+            DISPATCHER.clear()
+        hits = counter_value("dispatch.hit")
+        result, fast_err, fast_mem = _run_race(quiet_cpu, case, True,
+                                               collect=False)
+        replayed = counter_value("dispatch.hit") > hits
+        tag = f"seed {seed} ({label})"
+        assert replayed == (not ref.races and not cold), \
+            f"{tag}: replayed={replayed}"
+        assert fast_err == ref_err, tag
+        assert fast_mem == ref_mem, tag
+        if not ref.races:
+            _assert_results_equal(result, ref, tag)
 
     if ref.races:
-        return
-    with dispatch_forced():
-        cold, _, _ = _run_race(quiet_cpu, case, True, collect=False)
-        hits = counter_value("dispatch.hit")
-        warm, _, _ = _run_race(quiet_cpu, case, True, collect=False)
-    assert counter_value("dispatch.hit") > hits, \
-        f"seed {seed}: identical race-free region did not replay"
-    _assert_results_equal(cold, ref, f"seed {seed} (cold)")
-    _assert_results_equal(warm, ref, f"seed {seed} (warm)")
+        blind, blind_err, _ = _run_race(quiet_cpu, case, True,
+                                        collect=False, detect=False)
+        assert blind_err is None and not blind.races, f"seed {seed}"
+        detected, _, _ = _run_race(quiet_cpu, case, True, collect=True)
+        _assert_results_equal(detected, ref, f"seed {seed} (after blind)")
 
 
 def test_openmp_race_corpus_exercises_both_verdicts(quiet_cpu):
@@ -720,8 +804,8 @@ _FLIP_SCALE = 1
 
 
 def _gen_flip_program(rng, kinds):
-    """A steady descriptor tuple: immutable, so the program stays
-    eligible in the default (strict) mode as well as under force."""
+    """A steady descriptor tuple: immutable, so the kernel closing over
+    it signs."""
     return tuple((rng.choice(kinds), rng.randint(1, 3))
                  for _ in range(rng.randint(2, 6)))
 
@@ -840,40 +924,34 @@ def _cost_flip(machine, program, rng, swap=False):
 
 
 def _check_flip_sequence(run, machine, flip, seed):
-    """Launch ``run(machine, salt)`` around ``flip(True)``, in both
-    dispatch modes.
+    """Launch ``run(machine, salt)`` around ``flip(True)``.
 
-    Every launch must equal the undispatched runtime on a freshly built
-    copy of the machine at the same parameter values.  The flipped
-    machine's own undispatched run is no oracle: a context it cached
-    before the flip would mislead it as well.
+    Every launch must equal the ``fast=False`` runtime on a freshly
+    built copy of the machine at the same parameter values.  The flipped
+    machine's own reference run is no oracle: a context it cached before
+    the flip would mislead it as well.
 
-    Before the flip: salts 1, 0, 0, so two records and one tier-0
-    replay.  After it: identical contents again (a stale entry would
-    answer), then a replay and two fresh salts.  So every mode must
-    see exactly two hits and five misses, and the flip must change the
+    Before the flip: salts 1, 0, 0, so two records and one replay.
+    After it: identical contents again (a stale entry would answer),
+    then a replay and two fresh salts.  So the sequence must see
+    exactly two hits and five misses, and the flip must change the
     outcome: a flip that changes nothing proves nothing.
     """
-    names = ("dispatch.hit", "dispatch.miss")
-    for mode in (dispatch_forced, nullcontext):
-        DISPATCHER.clear()
-        before = [counter_value(name) for name in names]
-        outcomes = {}
-        for on, salts in ((False, (1, 0, 0)), (True, (0, 0, 2, 3))):
-            flip(on)
-            for salt in salts:
-                with mode():
-                    got = run(machine, salt)
-                with dispatch_disabled():
-                    want = run(_rebuilt(machine), salt)
-                assert got == want, \
-                    f"seed {seed} {mode.__name__}: salt {salt} flipped={on}"
-                outcomes[on, salt] = got
-        assert outcomes[False, 0] != outcomes[True, 0], \
-            f"seed {seed}: the flip changed nothing"
-        moved = [counter_value(name) - b for name, b in zip(names, before)]
-        assert moved == [2, 5], \
-            f"seed {seed} {mode.__name__}: hit/miss moved {moved}"
+    DISPATCHER.clear()
+    before = [counter_value(name) for name in _DISPATCH]
+    outcomes = {}
+    for on, salts in ((False, (1, 0, 0)), (True, (0, 0, 2, 3))):
+        flip(on)
+        for salt in salts:
+            got = run(machine, salt)
+            want = run(_rebuilt(machine), salt, fast=False)
+            assert got == want, f"seed {seed}: salt {salt} flipped={on}"
+            outcomes[on, salt] = got
+    assert outcomes[False, 0] != outcomes[True, 0], \
+        f"seed {seed}: the flip changed nothing"
+    moved = [counter_value(name) - b for name, b in zip(_DISPATCH, before)]
+    assert moved == [2, 5, 0], \
+        f"seed {seed}: hit/miss/fallback moved {moved}"
 
 
 def _cuda_flip_case(seed):
@@ -884,12 +962,12 @@ def _cuda_flip_case(seed):
     block = rng.choice((32, 64))
     launch = LaunchConfig(2, block)
 
-    def run(device, salt):
+    def run(device, salt, fast=True):
         n = 2 * block
         memory = {"g0": (np.arange(n, dtype=np.int64) * 7 + salt) % 61,
                   "acc": np.zeros(4, np.int64),
                   "out": np.zeros(n, np.int64)}
-        result = Cuda(device).launch(kernel, launch, memory)
+        result = Cuda(device, fast=fast).launch(kernel, launch, memory)
         return (result.elapsed_cycles, result.block_cycles, result.stats,
                 {name: arr.tobytes() for name, arr in memory.items()})
 
@@ -903,10 +981,10 @@ def _omp_flip_case(seed):
     body, set_cell = _make_flip_omp_body(program)
     n_threads = rng.choice((2, 4))
 
-    def run(machine, salt):
+    def run(machine, salt, fast=True):
         shared = _flip_omp_shared(n_threads, salt)
-        result = OpenMP(machine, n_threads=n_threads,
-                        detect_races=False).parallel(body, shared)
+        result = OpenMP(machine, n_threads=n_threads, detect_races=False,
+                        fast=fast).parallel(body, shared)
         return (result.elapsed_ns, result.thread_times_ns,
                 result.barriers, result.requests,
                 {name: arr.tobytes() for name, arr in shared.items()})

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 import repro.compiler.dispatcher as dmod
 from repro.common.errors import DataRaceError, SimulationError
-from repro.compiler.dispatcher import (
-    DISPATCHER, Dispatcher, dispatch_disabled, dispatch_forced,
-)
+from repro.compiler.dispatcher import DISPATCHER, Dispatcher
 from repro.compiler.lift import kernel_purity
 from repro.cpu.machine import CpuMachine
 from repro.cuda.interpreter import Cuda, KernelThread
@@ -289,7 +286,7 @@ class TestCudaDispatch:
                                 (helper_kernel, "function")):
             DISPATCHER.clear()
             with pytest.raises(dmod._Unsignable, match=culprit):
-                dmod.function_signature(kernel, False)
+                dmod.function_signature(kernel)
             cuda = Cuda(mini_gpu)
             before = _counters(*DISPATCH)
             cuda.launch(kernel, LC, _memory())
@@ -374,31 +371,29 @@ class TestIsolation:
 
 
 # --------------------------------------------------------------------- #
-# Modes, eviction, OpenMP
+# The reference runtime, eviction, OpenMP
 # --------------------------------------------------------------------- #
 
 
-class TestModes:
-    def test_dispatch_disabled_context(self, mini_gpu):
+class TestReferenceRuntime:
+    """``fast=False`` is the one way around replay: the oracle keys
+    nothing, even for a pure kernel or body already recorded."""
+
+    def test_cuda_fast_false_never_dispatches(self, mini_gpu):
         DISPATCHER.clear()
+        Cuda(mini_gpu).launch(steady_kernel, LC, _memory())
         before = _counters(*DISPATCH)
-        with dispatch_disabled():
-            Cuda(mini_gpu).launch(steady_kernel, LC, _memory())
+        Cuda(mini_gpu, fast=False).launch(steady_kernel, LC, _memory())
         assert all(v == 0 for v in _deltas(before).values())
 
-    def test_forced_keys_impure_kernels(self, mini_gpu):
+    def test_omp_fast_false_never_dispatches(self, quiet_cpu):
         DISPATCHER.clear()
-        cuda = Cuda(mini_gpu)
-        with dispatch_forced():
-            forced = _memory()
-            cuda.launch(list_kernel, LC, forced)
-            before = _counters("dispatch.hit")
-            warm = _memory()
-            cuda.launch(list_kernel, LC, warm)
-            assert _deltas(before)["dispatch.hit"] == 1
-        ref = _memory()
-        Cuda(mini_gpu, fast=False).launch(list_kernel, LC, ref)
-        assert _snapshot(warm) == _snapshot(ref)
+        OpenMP(quiet_cpu, n_threads=4,
+               detect_races=False).parallel(omp_body, _omp_shared())
+        before = _counters(*DISPATCH)
+        OpenMP(quiet_cpu, n_threads=4, detect_races=False,
+               fast=False).parallel(omp_body, _omp_shared())
+        assert all(v == 0 for v in _deltas(before).values())
 
 
 class TestEviction:
@@ -509,14 +504,13 @@ class TestOmpRaceDetectingReplay:
     def test_undetected_entry_never_serves_a_detecting_region(
             self, quiet_cpu):
         DISPATCHER.clear()
-        with dispatch_forced():
-            OpenMP(quiet_cpu, n_threads=4, detect_races=False).parallel(
+        OpenMP(quiet_cpu, n_threads=4, detect_races=False).parallel(
+            racy_body, self._shared())
+        # Identical input, so only the key's detect_races bit keeps the
+        # recorded (race-blind) outcome from being replayed.
+        with pytest.raises(DataRaceError, match=r"out\[0\]"):
+            OpenMP(quiet_cpu, n_threads=4).parallel(
                 racy_body, self._shared())
-            # Identical input, so only the key's detect_races bit keeps
-            # the recorded (race-blind) outcome from being replayed.
-            with pytest.raises(DataRaceError, match=r"out\[0\]"):
-                OpenMP(quiet_cpu, n_threads=4).parallel(
-                    racy_body, self._shared())
 
     def test_racy_collect_region_never_recorded(self, quiet_cpu):
         DISPATCHER.clear()
@@ -524,12 +518,11 @@ class TestOmpRaceDetectingReplay:
         ref = OpenMP(quiet_cpu, n_threads=4, collect_races=True,
                      fast=False).parallel(racy_body, self._shared())
         assert ref.races
-        with dispatch_forced():
-            OpenMP(quiet_cpu, n_threads=4, detect_races=False).parallel(
-                racy_body, self._shared())
-            before = _counters("dispatch.hit")
-            first = collect.parallel(racy_body, self._shared())
-            rerun = collect.parallel(racy_body, self._shared())
+        OpenMP(quiet_cpu, n_threads=4, detect_races=False).parallel(
+            racy_body, self._shared())
+        before = _counters("dispatch.hit")
+        first = collect.parallel(racy_body, self._shared())
+        rerun = collect.parallel(racy_body, self._shared())
         assert _deltas(before)["dispatch.hit"] == 0
         assert first.races == rerun.races == ref.races
 
@@ -560,36 +553,32 @@ def _flip_shared(seed: int = 0) -> dict[str, np.ndarray]:
             "out": np.zeros(4, dtype=np.int64)}
 
 
-@pytest.mark.parametrize("mode", [nullcontext, dispatch_forced],
-                         ids=["on", "force"])
 class TestModuleGlobals:
     """A module global flipped between two launches with identical
     contents: the dispatcher must serve the flipped value, exactly as
-    the undispatched runtime does.  Before the flip each runtime
+    the ``fast=False`` runtime does.  Before the flip each runtime
     records two entries and replays one."""
 
-    def test_cuda_flip_matches_reference(self, mini_gpu, monkeypatch,
-                                         mode):
+    def test_cuda_flip_matches_reference(self, mini_gpu, monkeypatch):
         module = sys.modules[__name__]
         monkeypatch.setattr(module, "_FLIP", 1)
         DISPATCHER.clear()
         cuda = Cuda(mini_gpu)
-        with mode():
-            for seed in (1, 0, 0):
-                cuda.launch(flip_kernel, LC, _memory(seed))
-            monkeypatch.setattr(module, "_FLIP", 5)
-            before = _counters("dispatch.hit")
-            results = []
-            # New key @ 5: a miss on the old contents, then one replay.
-            for seed in (0, 0, 2, 3):
-                memory = _memory(seed)
-                results.append((seed, memory,
-                                 cuda.launch(flip_kernel, LC, memory)))
-            hits = _deltas(before)["dispatch.hit"]
+        for seed in (1, 0, 0):
+            cuda.launch(flip_kernel, LC, _memory(seed))
+        monkeypatch.setattr(module, "_FLIP", 5)
+        before = _counters("dispatch.hit")
+        results = []
+        # New key @ 5: a miss on the old contents, then one replay.
+        for seed in (0, 0, 2, 3):
+            memory = _memory(seed)
+            results.append((seed, memory,
+                            cuda.launch(flip_kernel, LC, memory)))
+        hits = _deltas(before)["dispatch.hit"]
         for seed, memory, result in results:
             ref_mem = _memory(seed)
-            with dispatch_disabled():
-                ref = Cuda(mini_gpu).launch(flip_kernel, LC, ref_mem)
+            ref = Cuda(mini_gpu, fast=False).launch(flip_kernel, LC,
+                                                    ref_mem)
             assert np.array_equal(memory["b"], memory["a"] * 5)
             assert _snapshot(memory) == _snapshot(ref_mem)
             assert result.elapsed_cycles == ref.elapsed_cycles
@@ -597,27 +586,25 @@ class TestModuleGlobals:
             assert result.stats == ref.stats
         assert hits == 1, "the flipped kernel must be keyed, and keyed anew"
 
-    def test_omp_flip_matches_reference(self, quiet_cpu, monkeypatch,
-                                        mode):
+    def test_omp_flip_matches_reference(self, quiet_cpu, monkeypatch):
         module = sys.modules[__name__]
         monkeypatch.setattr(module, "_FLIP", 1)
         DISPATCHER.clear()
         omp = OpenMP(quiet_cpu, n_threads=4, detect_races=False)
-        with mode():
-            for seed in (1, 0, 0):
-                omp.parallel(flip_body, _flip_shared(seed))
-            monkeypatch.setattr(module, "_FLIP", 5)
-            before = _counters("dispatch.hit")
-            results = []
-            for seed in (0, 0, 2, 3):
-                shared = _flip_shared(seed)
-                results.append((seed, shared,
-                                omp.parallel(flip_body, shared)))
-            hits = _deltas(before)["dispatch.hit"]
+        for seed in (1, 0, 0):
+            omp.parallel(flip_body, _flip_shared(seed))
+        monkeypatch.setattr(module, "_FLIP", 5)
+        before = _counters("dispatch.hit")
+        results = []
+        for seed in (0, 0, 2, 3):
+            shared = _flip_shared(seed)
+            results.append((seed, shared, omp.parallel(flip_body, shared)))
+        hits = _deltas(before)["dispatch.hit"]
+        reference = OpenMP(quiet_cpu, n_threads=4, detect_races=False,
+                           fast=False)
         for seed, shared, result in results:
             ref_shared = _flip_shared(seed)
-            with dispatch_disabled():
-                ref = omp.parallel(flip_body, ref_shared)
+            ref = reference.parallel(flip_body, ref_shared)
             assert _snapshot(shared) == _snapshot(ref_shared)
             assert result.elapsed_ns == ref.elapsed_ns
             assert result.thread_times_ns == ref.thread_times_ns
@@ -650,22 +637,19 @@ class TestShapeKeys:
         """
         module = sys.modules[__name__]
         cuda = Cuda(mini_gpu)
-        for mode in (nullcontext, dispatch_forced):
-            DISPATCHER.clear()
-            monkeypatch.setattr(module, "_PLAN_SCALE", 2)
-            with mode():
-                cuda.launch(scaled_kernel, LC, _memory(1))  # record @ 2
-                monkeypatch.setattr(module, "_PLAN_SCALE", 5)
-                before = _counters("dispatch.hit", "dispatch.miss")
-                flipped = _memory(1)  # identical contents
-                cuda.launch(scaled_kernel, LC, flipped)
-                assert _deltas(before) == {"dispatch.hit": 0,
-                                           "dispatch.miss": 1}, \
-                    "the entry recorded @ 2 must not serve @ 5"
-            assert np.all(flipped["b"] == 35), "stale entry served 2 * 7"
-            ref = _memory(1)
-            Cuda(mini_gpu, fast=False).launch(scaled_kernel, LC, ref)
-            assert _snapshot(flipped) == _snapshot(ref)
+        DISPATCHER.clear()
+        monkeypatch.setattr(module, "_PLAN_SCALE", 2)
+        cuda.launch(scaled_kernel, LC, _memory(1))  # record @ 2
+        monkeypatch.setattr(module, "_PLAN_SCALE", 5)
+        before = _counters("dispatch.hit", "dispatch.miss")
+        flipped = _memory(1)  # identical contents
+        cuda.launch(scaled_kernel, LC, flipped)
+        assert _deltas(before) == {"dispatch.hit": 0, "dispatch.miss": 1}, \
+            "the entry recorded @ 2 must not serve @ 5"
+        assert np.all(flipped["b"] == 35), "stale entry served 2 * 7"
+        ref = _memory(1)
+        Cuda(mini_gpu, fast=False).launch(scaled_kernel, LC, ref)
+        assert _snapshot(flipped) == _snapshot(ref)
 
     def test_equal_but_distinct_globals_key_apart(self, mini_gpu,
                                                   monkeypatch):
@@ -685,17 +669,15 @@ class TestShapeKeys:
         """An unflipped global keys the same entry launch after launch:
         the signature freezes the value, not the identity of a load."""
         cuda = Cuda(mini_gpu)
-        for mode in (nullcontext, dispatch_forced):
-            DISPATCHER.clear()
-            with mode():
-                keys = {DISPATCHER.begin_cuda(cuda, scaled_kernel, LC,
-                                              _memory(1), {}).key
-                        for _ in range(2)}
-                assert len(keys) == 1
-                cuda.launch(scaled_kernel, LC, _memory(1))  # record
-                before = _counters("dispatch.hit")
-                cuda.launch(scaled_kernel, LC, _memory(1))
-                assert _deltas(before)["dispatch.hit"] == 1
+        DISPATCHER.clear()
+        keys = {DISPATCHER.begin_cuda(cuda, scaled_kernel, LC,
+                                      _memory(1), {}).key
+                for _ in range(2)}
+        assert len(keys) == 1
+        cuda.launch(scaled_kernel, LC, _memory(1))  # record
+        before = _counters("dispatch.hit")
+        cuda.launch(scaled_kernel, LC, _memory(1))
+        assert _deltas(before)["dispatch.hit"] == 1
 
 
 # --------------------------------------------------------------------- #

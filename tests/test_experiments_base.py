@@ -5,6 +5,7 @@ from repro.common.datatypes import DOUBLE, INT
 from repro.compiler.ops import PrimitiveKind, Scope
 from repro.core.protocol import MeasurementProtocol
 from repro.cpu.affinity import Affinity
+from repro.gpu.spec import LaunchConfig
 from repro.experiments.base import (
     cuda_atomic_array_spec,
     cuda_atomic_scalar_spec,
@@ -104,3 +105,35 @@ class TestSweepDrivers:
         assert sweep.x_label == "threads_per_block"
         assert sweep.series_by_label("sync").xs == [32, 64]
         assert sweep.metadata["blocks"] == 2
+
+    def _count_contexts(self, machine, monkeypatch) -> list:
+        shapes = []
+        resolve = machine.context
+
+        def context(*shape):
+            shapes.append(shape)
+            return resolve(*shape)
+
+        monkeypatch.setattr(machine, "context", context)
+        return shapes
+
+    def test_sweep_omp_resolves_each_point_once(self, quiet_cpu,
+                                                monkeypatch):
+        """Specs share the sweep's points: two specs over two thread
+        counts resolve two contexts, not four."""
+        shapes = self._count_contexts(quiet_cpu, monkeypatch)
+        sweep_omp(quiet_cpu,
+                  {"a": omp_barrier_spec(), "b": omp_flush_spec(INT, 2)},
+                  name="t", thread_counts=[2, 4],
+                  protocol=MeasurementProtocol(n_runs=2))
+        assert shapes == [(2, Affinity.DEFAULT), (4, Affinity.DEFAULT)]
+
+    def test_sweep_cuda_resolves_each_point_once(self, system3_gpu,
+                                                 monkeypatch):
+        shapes = self._count_contexts(system3_gpu, monkeypatch)
+        sweep_cuda(system3_gpu,
+                   {"sync": cuda_syncthreads_spec(),
+                    "fence": cuda_fence_spec(Scope.DEVICE, INT, 1)},
+                   name="t", block_count=2, thread_counts=[32, 64],
+                   protocol=MeasurementProtocol(n_runs=2))
+        assert shapes == [(LaunchConfig(2, 32),), (LaunchConfig(2, 64),)]

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.compiler.dispatcher import dispatch_disabled
+from repro.compiler.dispatcher import DISPATCHER
 from repro.core.engine import reference_engine
 from repro.cuda.interpreter import Cuda
 from repro.gpu.spec import LaunchConfig
@@ -458,9 +458,9 @@ class TestOpenMPEquivalence:
         names = ("interp.omp.regions_fast", "interp.omp.uniform_rounds",
                  "interp.omp.regions_reference")
         before = {name: counter_value(name) for name in names}
-        with dispatch_disabled():
-            result = OpenMP(quiet_cpu, n_threads=4, fast=True).parallel(
-                body, shared={"x": np.zeros(4, np.int64)})
+        DISPATCHER.clear()
+        result = OpenMP(quiet_cpu, n_threads=4, fast=True).parallel(
+            body, shared={"x": np.zeros(4, np.int64)})
         delta = {name: counter_value(name) - before[name]
                  for name in names}
         assert delta["interp.omp.regions_fast"] == 1
@@ -569,8 +569,7 @@ class TestOpenMPEquivalence:
         for fast in (True, False):
             omp = OpenMP(quiet_cpu, n_threads=4, detect_races=False,
                          fast=fast)
-            with dispatch_disabled(), \
-                    pytest.raises(SimulationError, match=fragment) as info:
+            with pytest.raises(SimulationError, match=fragment) as info:
                 omp.parallel(body, shared={"x": np.zeros(4, np.int64)})
             messages.append(str(info.value))
         assert messages[0] == messages[1]
@@ -590,9 +589,9 @@ class TestOpenMPEquivalence:
                  "interp.omp.fallback_rounds", "interp.omp.regions_fast",
                  "interp.omp.regions_reference")
         before = {name: counter_value(name) for name in names}
-        with dispatch_disabled():
-            OpenMP(quiet_cpu, n_threads=4, fast=fast).parallel(
-                body, shared={"x": np.zeros(4, np.int64)})
+        DISPATCHER.clear()
+        OpenMP(quiet_cpu, n_threads=4, fast=fast).parallel(
+            body, shared={"x": np.zeros(4, np.int64)})
         delta = {name[len("interp.omp."):]: counter_value(name) -
                  before[name] for name in names}
         assert delta["rounds"] > 0

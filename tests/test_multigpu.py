@@ -10,14 +10,12 @@ publish points, cooperative barriers, and relaunch invalidation.
 from __future__ import annotations
 
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.common.datatypes import INT
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.compiler.dispatcher import dispatch_disabled, dispatch_forced
 from repro.compiler.ops import Op, PrimitiveKind, Scope, op_barrier
 from repro.mem.layout import SharedScalar
 from repro.cuda.multigpu import MultiCuda
@@ -282,35 +280,28 @@ def _assert_same_launch(got, want):
         assert got.system[name].tobytes() == want.system[name].tobytes()
 
 
-@pytest.mark.parametrize("mode", [nullcontext, dispatch_forced],
-                         ids=["default", "forced"])
 class TestMultiCudaInvalidation:
     """A relaunch on the same runtime sees every input that changed
     since the last launch: module globals and the machine itself."""
 
-    def test_global_flip_matches_reference(self, multi, monkeypatch,
-                                           mode):
+    def test_global_flip_matches_reference(self, multi, monkeypatch):
         monkeypatch.setattr(sys.modules[__name__], "K", 1)
         runtime = MultiCuda(multi, n_devices=2)
-        with mode():
-            _run(runtime, _global_kernel)
-            monkeypatch.setattr(sys.modules[__name__], "K", 5)
-            got = _run(runtime, _global_kernel)
-        with dispatch_disabled():
-            want = _run(MultiCuda(multi, n_devices=2), _global_kernel)
+        _run(runtime, _global_kernel)
+        monkeypatch.setattr(sys.modules[__name__], "K", 5)
+        got = _run(runtime, _global_kernel)
+        want = _run(MultiCuda(multi, n_devices=2), _global_kernel)
         assert got.system["acc"][0] == want.system["acc"][0] == 20
         _assert_same_launch(got, want)
 
-    def test_interconnect_swap_matches_reference(self, mini_gpu, mode):
+    def test_interconnect_swap_matches_reference(self, mini_gpu):
         multi = MultiGpu(mini_gpu, NVLINK3)
         runtime = MultiCuda(multi, n_devices=2)
-        with mode():
-            nvlink = _run(runtime, _linked_kernel)
-            multi.interconnect = PCIE4
-            got = _run(runtime, _linked_kernel)
-        with dispatch_disabled():
-            want = _run(MultiCuda(MultiGpu(mini_gpu, PCIE4), n_devices=2),
-                        _linked_kernel)
+        nvlink = _run(runtime, _linked_kernel)
+        multi.interconnect = PCIE4
+        got = _run(runtime, _linked_kernel)
+        want = _run(MultiCuda(MultiGpu(mini_gpu, PCIE4), n_devices=2),
+                    _linked_kernel)
         assert got.elapsed_cycles > nvlink.elapsed_cycles
         _assert_same_launch(got, want)
 

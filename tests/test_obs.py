@@ -228,10 +228,9 @@ class TestEngineInstrumentation:
 
 class TestInterpreterCounters:
     def test_cuda_pass_counters_reconcile(self, mini_gpu):
-        # Pins the batched fast path's own counters, so the JIT
-        # dispatcher (which would lift this steady kernel and bypass
-        # the pass loop entirely) stays out of the way.
-        from repro.compiler.dispatcher import dispatch_disabled
+        # Pins the batched fast path's own counters, so the replay
+        # cache starts empty: a replay would skip the pass loop.
+        from repro.compiler.dispatcher import DISPATCHER
 
         def kernel(t):
             yield t.alu(1)
@@ -242,8 +241,8 @@ class TestInterpreterCounters:
                 ("interp.cuda.uniform_passes",
                  "interp.cuda.fallback_passes", "interp.cuda.passes",
                  "interp.cuda.blocks_fast")}
-        with dispatch_disabled():
-            Cuda(mini_gpu).launch(kernel, LaunchConfig(2, 64))
+        DISPATCHER.clear()
+        Cuda(mini_gpu).launch(kernel, LaunchConfig(2, 64))
         deltas = {name: counter_value(name) - base[name]
                   for name in base}
         assert deltas["interp.cuda.blocks_fast"] == 2
@@ -262,7 +261,7 @@ class TestInterpreterCounters:
             before == 3
 
     def test_omp_round_counters_reconcile(self, quiet_cpu):
-        from repro.compiler.dispatcher import dispatch_disabled
+        from repro.compiler.dispatcher import DISPATCHER
 
         def body(tc):
             yield tc.atomic_update("counter", 0, lambda v: v + 1)
@@ -275,10 +274,10 @@ class TestInterpreterCounters:
                  "interp.omp.regions_fast")}
         # An identical region recorded earlier in the process would be
         # replayed without a single fast-path round; these counters are
-        # the fast tier's, so pin the region to it.
-        with dispatch_disabled():
-            OpenMP(quiet_cpu, n_threads=4, detect_races=False).parallel(
-                body, shared={"counter": np.zeros(1, np.int64)})
+        # the fast tier's, so start from an empty replay cache.
+        DISPATCHER.clear()
+        OpenMP(quiet_cpu, n_threads=4, detect_races=False).parallel(
+            body, shared={"counter": np.zeros(1, np.int64)})
         deltas = {name: counter_value(name) - base[name]
                   for name in base}
         assert deltas["interp.omp.regions_fast"] == 1
@@ -297,7 +296,7 @@ class TestInterpreterCounters:
             before == 1
 
     def test_launch_and_region_record_spans(self, mini_gpu, quiet_cpu):
-        from repro.compiler.dispatcher import dispatch_disabled
+        from repro.compiler.dispatcher import DISPATCHER
 
         def kernel(t):
             yield t.alu(1)
@@ -306,9 +305,10 @@ class TestInterpreterCounters:
             yield tc.barrier()
 
         rec = Recorder()
-        # Dispatcher off: it records its own dispatch.* spans, pinned
-        # separately in tests/test_dispatcher.py.
-        with recording(rec), dispatch_disabled():
+        # An empty replay cache: a replay hit records its own
+        # dispatch.replay span, pinned in tests/test_dispatcher.py.
+        DISPATCHER.clear()
+        with recording(rec):
             Cuda(mini_gpu).launch(kernel, LaunchConfig(1, 32))
             OpenMP(quiet_cpu, n_threads=2).parallel(body)
         names = [s["name"] for s in rec.spans()]

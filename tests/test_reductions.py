@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.compiler.dispatcher import DISPATCHER, dispatch_disabled
+from repro.compiler.dispatcher import DISPATCHER
 from repro.compiler.lift import kernel_purity
+from repro.core.engine import reference_engine
 from repro.obs.metrics import counter_value
 from repro.reductions import (
     REDUCTION_NAMES,
@@ -149,7 +150,7 @@ class TestListing1Dispatch:
         repeat = compare_reductions(mini_gpu, data.copy(),
                                     block_threads=64)
         assert counter_value("dispatch.hit") - hits == 5
-        with dispatch_disabled():
+        with reference_engine():
             ref = compare_reductions(mini_gpu, data.copy(),
                                      block_threads=64)
         for name in REDUCTION_NAMES:
